@@ -154,7 +154,8 @@ class Graph {
   /// Repair `prev` (a result for `src` consistent with this graph before
   /// `changes` were applied to it) into the result for the current
   /// graph. `changes` describe cost transitions already applied via
-  /// set_edge/remove_edge. See the header comment for guarantees.
+  /// set_edge/remove_edge, in order; an edge may appear more than once.
+  /// See the header comment for guarantees.
   [[nodiscard]] SpfResult spf_incremental(naming::Address src,
                                           const SpfResult& prev,
                                           const std::vector<EdgeChange>& changes,
@@ -170,12 +171,21 @@ class Graph {
       return it == prev.entries.end() ? kInfinity : it->second.dist;
     };
 
+    // 0. Net each edge's transitions: a batch may touch one edge twice (a
+    // flap inside the caller's debounce), and only the cost `prev` saw
+    // and the graph's current cost matter.
+    std::map<std::pair<naming::Address, naming::Address>, EdgeChange> net;
+    for (const auto& ch : changes) {
+      EdgeChange& n = net.try_emplace({ch.from, ch.to}, ch).first->second;
+      n.new_cost = edge_cost(ch.from, ch.to);
+    }
+
     // 1. Which changes can matter? A worsened edge only if it was tight
     // (on a shortest path); an improved edge only if its new cost meets
     // or beats the target's distance (== still matters: new equal-cost
     // path changes the hop set).
     std::vector<const EdgeChange*> worse_hit, better_hit;
-    for (const auto& ch : changes) {
+    for (const auto& [edge, ch] : net) {
       if (ch.to == src || ch.from == ch.to) continue;
       Cost du = prev_dist(ch.from);
       Cost dv = prev_dist(ch.to);

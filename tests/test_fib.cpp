@@ -5,6 +5,8 @@
 #include "routing/graph.hpp"
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -213,6 +215,87 @@ static void spf_incremental_reports_unreachable() {
   CHECK(same_result(inc, g.dijkstra(a)));
 }
 
+// Differential oracle: seeded random edge add/remove/cost streams on
+// c9-shaped graphs (regions of anchor + spokes, anchors in a ring, plus a
+// few spoke chords for equal-cost paths). After every batch the repaired
+// tree must equal a full Dijkstra, and every destination outside the
+// delta's changed/removed lists must keep its previous entry — the FIB
+// is patched from exactly those lists.
+static void spf_incremental_oracle() {
+  std::uint64_t rng = 0x5EEDF00Dull;
+  auto next = [&rng](std::uint64_t n) {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng % n;
+  };
+  int batches = 0, skipped = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int regions = 3 + static_cast<int>(next(6));
+    const int per = 2 + static_cast<int>(next(5));
+    auto node = [](int r, int m) {
+      return Address{static_cast<std::uint16_t>(r + 1), static_cast<std::uint16_t>(m + 1)};
+    };
+    std::vector<std::pair<Address, Address>> pairs;  // the edges a stream may touch
+    routing::Graph g;
+    for (int r = 0; r < regions; ++r) {
+      for (int m = 1; m < per; ++m) pairs.emplace_back(node(r, 0), node(r, m));
+      pairs.emplace_back(node(r, 0), node((r + 1) % regions, 0));
+      pairs.emplace_back(node(r, 1), node((r + 2) % regions, per - 1));
+    }
+    for (std::size_t i = 0; i + 1 < pairs.size(); ++i)  // all but the last chord
+      add_biedge(g, pairs[i].first, pairs[i].second, 1);
+    const Address src = node(static_cast<int>(next(regions)), 0);
+    routing::SpfResult prev = g.dijkstra(src);
+    for (int step = 0; step < 30; ++step) {
+      std::vector<routing::EdgeChange> ch;
+      const int n = 1 + static_cast<int>(next(3));
+      for (int k = 0; k < n; ++k) {
+        auto [u, v] = pairs[next(pairs.size())];
+        if (next(2) == 0) std::swap(u, v);
+        const bool both = next(3) != 0;  // an LSU pair, or one direction only
+        const std::uint64_t kind = next(3);
+        const routing::Cost cost = 1 + static_cast<routing::Cost>(next(4));
+        for (int dir = 0; dir < (both ? 2 : 1); ++dir) {
+          const Address from = dir == 0 ? u : v, to = dir == 0 ? v : u;
+          routing::EdgeChange c{from, to, g.edge_cost(from, to), routing::kInfinity};
+          if (kind == 0) {
+            g.remove_edge(from, to);
+          } else {
+            c.new_cost = kind == 1 ? 1 : cost;
+            g.set_edge(from, to, c.new_cost);
+          }
+          if (c.old_cost != c.new_cost) ch.push_back(c);
+        }
+      }
+      routing::SpfDelta delta;
+      routing::SpfResult inc = g.spf_incremental(src, prev, ch, delta);
+      routing::SpfResult full = g.dijkstra(src);
+      CHECK(same_result(inc, full));
+      std::set<Address> touched(delta.changed.begin(), delta.changed.end());
+      touched.insert(delta.removed.begin(), delta.removed.end());
+      for (const auto& [dest, e] : full.entries) {
+        if (touched.count(dest) != 0) continue;
+        auto it = prev.entries.find(dest);
+        CHECK(it != prev.entries.end());
+        if (it == prev.entries.end()) continue;
+        routing::SpfResult a, b;
+        a.entries[dest] = it->second;
+        b.entries[dest] = e;
+        CHECK(same_result(a, b));
+      }
+      for (const auto& [dest, e] : prev.entries)
+        if (full.entries.count(dest) == 0) CHECK(touched.count(dest) != 0);
+      ++batches;
+      if (delta.skipped) ++skipped;
+      prev = std::move(inc);
+    }
+  }
+  // The streams exercise both the repair and the proven-off-tree skip.
+  CHECK(batches == 40 * 30);
+  CHECK(skipped > 0 && skipped < batches);
+}
+
 int main() {
   dijkstra_basic();
   dijkstra_prefers_shorter();
@@ -223,5 +306,6 @@ int main() {
   spf_incremental_matches_dijkstra();
   spf_incremental_skips_off_tree_changes();
   spf_incremental_reports_unreachable();
+  spf_incremental_oracle();
   return TEST_MAIN_RESULT();
 }
