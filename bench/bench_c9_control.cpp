@@ -5,13 +5,13 @@
 //
 //   flat   — every registration/unregistration floods a DirUpd to all N
 //            members, every LSU floods everywhere and triggers a full
-//            Dijkstra at every member: cost ~ O(N) per event.
-//   delta  — rib_delta_sync + incremental_spf: dissemination is
-//            versioned per-origin deltas with anti-entropy digests as
-//            the repair path, and SPF repairs only affected subtrees
-//            (or skips entirely when a change touches no shortest
-//            path). Directory changes still reach every member.
-//   hier   — delta plus dir_hierarchical: registrations go only to the
+//            Dijkstra at every member: cost ~ O(N) per event. A link
+//            that comes back resyncs its two ends (LSDB records as LSUs,
+//            the directory as a DirSync).
+//   inc    — flat flooding plus incremental_spf: SPF repairs only the
+//            affected subtrees (or skips entirely when a change touches
+//            no shortest path). The bytes on the wire are flat's.
+//   hier   — inc plus dir_hierarchical: registrations go only to the
 //            resolver chain (region anchor -> root); members resolve by
 //            querying up and cache with a TTL; mobility invalidates
 //            caches with a targeted flood. Per-event cost ~ O(change).
@@ -46,12 +46,12 @@ std::uint64_t splitmix64(std::uint64_t& s) {
   return z ^ (z >> 31);
 }
 
-enum class Mode { flat, delta, hier };
+enum class Mode { flat, inc, hier };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::flat: return "flat flood + full SPF";
-    case Mode::delta: return "delta sync + inc. SPF";
+    case Mode::inc: return "flat flood + inc. SPF";
     case Mode::hier: return "  + hierarchical names";
   }
   return "?";
@@ -98,15 +98,7 @@ Out run_point(const Shape& s, Mode mode) {
   const naming::DifName dif{kDif};
 
   node::DifSpec spec = mk_dif(kDif, {});
-  if (mode != Mode::flat) {
-    spec.cfg.rib_delta_sync = true;
-    spec.cfg.incremental_spf = true;
-    // Anti-entropy is the repair path, not the primary dissemination:
-    // a deployment sweeps digests lazily. The defaults (200 ms / 64
-    // entries) are tuned for the small unit-test DIFs.
-    spec.cfg.rib_sync_interval = SimTime::from_sec(1);
-    spec.cfg.rib_digest_budget = 32;
-  }
+  if (mode != Mode::flat) spec.cfg.incremental_spf = true;
   if (mode == Mode::hier) {
     spec.cfg.dir_hierarchical = true;
     spec.cfg.dir_root = naming::Address{1, 1};
@@ -154,7 +146,7 @@ Out run_point(const Shape& s, Mode mode) {
   net.run_for(SimTime::from_ms(300));
 
   // --- churn window A: seeded app mobility. The naming-layer story:
-  // per move, flat/delta tell all N members; hier tells the resolver
+  // per move, flat/inc tell all N members; hier tells the resolver
   // chain plus an invalidation flood only when caches could be stale.
   const auto dir_events = static_cast<std::uint64_t>(
       std::max(4.0, 16.0 * duration_scale()));
@@ -181,7 +173,7 @@ Out run_point(const Shape& s, Mode mode) {
 
   // Convergence of the LAST move, clocked from the re-registration: how
   // long until the directory authorities a resolver would consult all
-  // serve the new binding. flat/delta: every member's replicated
+  // serve the new binding. flat/inc: every member's replicated
   // directory; hier: the new home's region anchor and the root (nobody
   // else needs to know).
   SimTime conv_start = net.now();
@@ -239,8 +231,7 @@ Out run_point(const Shape& s, Mode mode) {
       static_cast<double>(net.sum_dif_counter(dif, "spf_runs") - spf0) /
       static_cast<double>(flap_events);
   out.dups_suppressed = net.sum_dif_counter(dif, "lsus_dup_suppressed") +
-                        net.sum_dif_counter(dif, "dir_dups_suppressed") +
-                        net.sum_dif_counter(dif, "deltas_dup_suppressed");
+                        net.sum_dif_counter(dif, "dir_dups_suppressed");
 
   // --- resolution latency: 12 allocations from rotating far-region
   // clients; every 3rd repeats the previous target, so the hier rows
@@ -327,7 +318,7 @@ int main() {
                   "flap B/evt", "converge ms", "res p50 ms", "res p99 ms",
                   "SPF vtx/evt", "dups supp"});
   for (const Shape& s : shapes) {
-    for (Mode mode : {Mode::flat, Mode::delta, Mode::hier}) {
+    for (Mode mode : {Mode::flat, Mode::inc, Mode::hier}) {
       if (mode == Mode::flat && s.members() > kFlatCap) {
         std::fprintf(stderr, "flat point N=%d skipped (cap %d)\n",
                      s.members(), kFlatCap);
@@ -349,10 +340,10 @@ int main() {
   t.print("C9 control-plane economy under churn");
   std::printf(
       "\nflat floods every directory change to all N members and every\n"
-      "member re-derives all N routes per LSU; delta disseminates\n"
-      "versioned per-origin deltas (fingerprint-first anti-entropy as\n"
-      "the repair path) and repairs only the SPF subtree behind the\n"
-      "changed edge — its win is SPF vtx/evt, ~O(subtree) instead of\n"
+      "member re-derives all N routes per LSU; a returning link resyncs\n"
+      "its two ends (LSDB records and directory), part of flap B/evt.\n"
+      "inc floods the same bytes but repairs only the SPF subtree behind\n"
+      "the changed edge — its win is SPF vtx/evt, ~O(subtree) instead of\n"
       "O(N) per member per flap. hier additionally confines\n"
       "registrations to the anchor/root chain, resolves by querying up\n"
       "with TTL caches at the edge, and invalidates down the recorded\n"

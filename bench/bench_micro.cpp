@@ -277,18 +277,6 @@ static void BM_DirectoryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectoryLookup);
 
-static void BM_RibWriteRead(benchmark::State& state) {
-  rib::Rib rib;
-  (void)rib.create("/bench/key", "Blob", to_bytes("v"));
-  Bytes value(64, 0x11);
-  for (auto _ : state) {
-    (void)rib.write("/bench/key", value);
-    auto r = rib.read("/bench/key");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_RibWriteRead);
-
 static void BM_SchedulerChurn(benchmark::State& state) {
   sim::Scheduler sched;
   for (auto _ : state) {

@@ -60,7 +60,7 @@ struct DifConfig {
   /// per foreign region).
   bool aggregate_regions = false;
 
-  /// --- Control plane at scale (all default off: flat dissemination) ---
+  /// --- Control plane at scale (both default off: flat flooding) ---
 
   /// Hierarchical directory resolution. Registrations go *only* to the
   /// member's region anchor (address {region, dir_anchor_node}) and the
@@ -73,15 +73,6 @@ struct DifConfig {
   std::uint16_t dir_anchor_node = 1;  // anchor = {my region, this node}
   SimTime dir_cache_ttl = SimTime::from_ms(2000);
   std::size_t dir_cache_entries = 4096;
-
-  /// Versioned delta RIB sync (src/rib/sync.hpp): LSU/directory
-  /// dissemination becomes sequence-numbered per-origin deltas with
-  /// gap pulls and periodic anti-entropy digest rounds; a peer too far
-  /// behind the bounded delta log gets a full scoped snapshot.
-  bool rib_delta_sync = false;
-  SimTime rib_sync_interval = SimTime::from_ms(200);
-  std::size_t rib_log_entries = 64;    // per-origin delta log depth
-  std::size_t rib_digest_budget = 64;  // (name, version) pairs per round
 
   /// Incremental SPF: repair the previous shortest-path tree from the
   /// edge deltas an LSU implies — skipping entirely when no changed

@@ -26,14 +26,9 @@ constexpr const char* kClsBye = "Bye";
 constexpr const char* kClsLsu = "LSU";
 constexpr const char* kClsDirUpd = "DirUpd";
 constexpr const char* kClsDirSync = "DirSync";
-constexpr const char* kClsDirEntry = "DirEntry";  // replicated rib object
 constexpr const char* kClsDirRead = "DirRead";          // query up the chain
 constexpr const char* kClsDirReadReply = "DirReadReply";
 constexpr const char* kClsDirInval = "DirInval";        // cache invalidation
-constexpr const char* kClsRibFinger = "RibFinger";      // anti-entropy opener
-constexpr const char* kClsRibDigest = "RibDigest";      // anti-entropy fallback
-constexpr const char* kClsRibDelta = "RibDelta";        // versioned deltas
-constexpr const char* kClsRibPull = "RibPull";          // gap / name pull
 constexpr const char* kClsFlowReq = "FlowReq";
 constexpr const char* kClsFlowResp = "FlowResp";
 constexpr const char* kClsFlowRelease = "FlowRelease";
@@ -63,8 +58,6 @@ constexpr int kMaxJoinAttempts = 3;
 constexpr SimTime kDirQueryRetry = SimTime::from_ms(50);
 constexpr int kMaxDirQueryAttempts = 4;
 constexpr std::size_t kMaxDirInterest = 128;
-// Snapshot fallback size for delta-sync pulls that fell off the log.
-constexpr std::size_t kSyncSnapshotEntries = 4096;
 constexpr std::uint64_t kHelloNonce = 0x48454c4c4f754c4cULL;
 // Keep management snapshots comfortably inside the PCI's u16 payload
 // length (there is no fragmentation); overflow is truncated + counted.
@@ -135,6 +128,64 @@ naming::AppName get_app(BufReader& r) {
   return a;
 }
 
+/// One link-state record as the LSU that floods it.
+rib::RiepMessage lsu_msg(naming::Address origin, std::uint64_t seq,
+                         const std::vector<naming::Address>& neighbors) {
+  rib::RiepMessage m;
+  m.op = rib::RiepOp::write;
+  m.obj_name = "/routing/lsu/" + origin.to_string();
+  m.obj_class = kClsLsu;
+  BufWriter w(16 + 4 * neighbors.size());
+  put_addr(w, origin);
+  w.put_u64(seq);
+  w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
+  for (auto n : neighbors) put_addr(w, n);
+  m.value = std::move(w).take();
+  return m;
+}
+
+/// One directory record: a DirUpd's value, and each entry of a DirSync
+/// or of the enrollment snapshot. Layout: origin | u64 version |
+/// u8 op (1 = bound, 2 = removed) | app | bound address. `at` is nullopt
+/// for a removal (a tombstone).
+struct DirRecord {
+  naming::AppName app;
+  naming::Directory::Stamp stamp;
+  std::optional<naming::Address> at;
+};
+
+void put_dir_record(BufWriter& w, const naming::AppName& app,
+                    naming::Directory::Stamp s, std::optional<naming::Address> at) {
+  put_addr(w, s.origin);
+  w.put_u64(s.version);
+  w.put_u8(at ? 1 : 2);
+  put_app(w, app);
+  put_addr(w, at.value_or(s.origin));
+}
+
+DirRecord get_dir_record(BufReader& r) {
+  DirRecord d;
+  d.stamp.origin = get_addr(r);
+  d.stamp.version = r.get_u64();
+  std::uint8_t op = r.get_u8();
+  d.app = get_app(r);
+  naming::Address at = get_addr(r);
+  if (op == 1) d.at = at;
+  return d;
+}
+
+rib::RiepMessage dir_upd_msg(const naming::AppName& app, naming::Directory::Stamp s,
+                             std::optional<naming::Address> at) {
+  rib::RiepMessage m;
+  m.op = at ? rib::RiepOp::create : rib::RiepOp::remove;
+  m.obj_name = "/dif/directory/" + app.to_string();
+  m.obj_class = kClsDirUpd;
+  BufWriter w(32);
+  put_dir_record(w, app, s, at);
+  m.value = std::move(w).take();
+  return m;
+}
+
 }  // namespace
 
 // ============================ Ipcp core ============================
@@ -152,7 +203,6 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
   c_riep_sent_ = stats_.slot("riep_sent");
   c_mgmt_bytes_ = stats_.slot("mgmt_bytes_sent");
   dir_cache_.configure(cfg_.dir_cache_ttl, cfg_.dir_cache_entries);
-  sync_.set_log_capacity(cfg_.rib_log_entries);
   if (cfg_.cubes.empty()) cfg_.cubes = dif::default_cubes();
   if (cfg_.rmt_content_store_enabled && cfg_.rmt_content_store_objects > 0)
     cstore_ = std::make_unique<content::ContentStore>(
@@ -171,9 +221,6 @@ std::uint64_t Ipcp::counter_sum(const std::string& name) const {
 void Ipcp::bootstrap_member(naming::Address addr) {
   address_ = addr;
   enrolled_ = true;
-  rib_.upsert("/dif/name", "DifName", to_bytes(cfg_.name.str()));
-  rib_.upsert("/dif/address", "Address", to_bytes(addr.to_string()));
-  if (cfg_.rib_delta_sync) start_sync_timer();
   if (cfg_.keepalive_enabled && !keepalive_timer_.armed()) {
     keepalive_tick();
     keepalive_timer_ =
@@ -242,7 +289,9 @@ void Ipcp::set_port_carrier(relay::PortIndex idx, bool up) {
     p.alive = true;
     p.last_heard = sched().now();
   }
+  bool back = up && returning_adjacency(idx);
   adjacency_changed();
+  if (back) resync_adjacency(idx);
 }
 
 void Ipcp::port_ready(relay::PortIndex idx) { rmt_.drain(idx); }
@@ -457,15 +506,7 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
   } else if (cls == kClsDirUpd) {
     handle_dir_update(idx, m);
   } else if (cls == kClsDirSync) {
-    handle_dir_sync(m);
-  } else if (cls == kClsRibDelta) {
-    handle_rib_delta(idx, m);
-  } else if (cls == kClsRibFinger) {
-    handle_rib_finger(idx, m);
-  } else if (cls == kClsRibDigest) {
-    handle_rib_digest(idx, m);
-  } else if (cls == kClsRibPull) {
-    handle_rib_pull(idx, m);
+    handle_dir_sync(idx, m);
   }
 }
 
@@ -487,14 +528,9 @@ void Ipcp::handle_hello(relay::PortIndex idx, const rib::RiepMessage& m) {
   p.alive = true;
   if (!p.hello_sent) send_hello(idx);
   if (changed) {
-    // A fresh adjacency: hand the peer what the flood could not have
-    // reached it with. Under delta sync that is a digest (the peer pulls
-    // just what differs); under hierarchical naming there is no
-    // replicated directory to reconcile at all.
-    if (cfg_.rib_delta_sync)
-      send_port_digest(idx);
-    else if (!cfg_.dir_hierarchical)
-      send_dir_sync(idx);
+    // A fresh adjacency: hand the peer the directory the flood could not
+    // have reached it with (hierarchical naming replicates none).
+    if (!cfg_.dir_hierarchical) send_dir_sync(idx);
     adjacency_changed();
   }
 }
@@ -503,7 +539,9 @@ void Ipcp::handle_keepalive(relay::PortIndex idx) {
   Port& p = ports_[idx];
   if (!p.alive) {
     p.alive = true;
+    bool back = returning_adjacency(idx);
     adjacency_changed();
+    if (back) resync_adjacency(idx);
   }
 }
 
@@ -559,28 +597,10 @@ void Ipcp::originate_lsu() {
   ++lsu_seq_;
   std::vector<naming::Address> neighbors;
   for (const auto& [addr, ports] : live_neighbors()) neighbors.push_back(addr);
-  lsdb_[address_] = LsuRecord{lsu_seq_, neighbors};
+  LsuRecord& rec = lsdb_[address_];
+  rec = LsuRecord{lsu_seq_, std::move(neighbors)};
   stats_.inc("lsus_originated");
-
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/routing/lsu/" + address_.to_string();
-  m.obj_class = kClsLsu;
-  BufWriter w(16 + 4 * neighbors.size());
-  put_addr(w, address_);
-  w.put_u64(lsu_seq_);
-  w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
-  for (auto n : neighbors) put_addr(w, n);
-  m.value = std::move(w).take();
-  if (cfg_.rib_delta_sync) {
-    // The LSU's own sequence number doubles as the replicated object's
-    // version; dissemination is a logged delta, not a full-value flood.
-    (void)rib_.upsert_versioned(m.obj_name, m.obj_class, m.value, lsu_seq_);
-    disseminate_delta(m.obj_name, m.obj_class, std::move(m.value), lsu_seq_);
-  } else {
-    rib_.upsert(m.obj_name, m.obj_class, m.value);
-    flood(m, std::nullopt);
-  }
+  flood(lsu_msg(address_, rec.seq, rec.neighbors), std::nullopt);
   schedule_spf();
 }
 
@@ -600,8 +620,9 @@ void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (!r.ok() || origin.is_null()) return;
   if (origin == address_) return;
   // Duplicate guard *before* the (larger) neighbor-list decode: a
-  // byte-identical re-flood is recognized from (origin, seq) alone and
-  // never re-floods, never touches the RIB, never schedules SPF.
+  // byte-identical re-flood (or a resync record the peer already has) is
+  // recognized from (origin, seq) alone and never re-floods, never
+  // touches the LSDB, never schedules SPF.
   {
     auto lit = lsdb_.find(origin);
     if (lit != lsdb_.end() && seq <= lit->second.seq &&
@@ -620,14 +641,6 @@ void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
     note_lsu_edge_changes(origin, rec.neighbors, neighbors);
   rec.seq = seq;
   rec.neighbors = std::move(neighbors);
-  const std::string name = "/routing/lsu/" + origin.to_string();
-  if (cfg_.rib_delta_sync) {
-    // Delta mode: the LSU's own sequence number is the replicated
-    // object's version, so every member agrees on digests.
-    (void)rib_.upsert_versioned(name, kClsLsu, m.value, seq);
-  } else {
-    rib_.upsert(name, kClsLsu, m.value);
-  }
   flood(m, idx);
   schedule_spf();
 }
@@ -863,13 +876,12 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   // A hierarchical DIF has no replicated directory to hand over — the
   // joiner resolves through its anchor like everyone else.
   if (!cfg_.dir_hierarchical) {
-    for (const auto& [app, at] : dir_.entries()) {
+    for (const auto& [app, stamp] : dir_.stamps()) {
       if (dir_w.size() > kSnapshotBudget / 2) {
         stats_.inc("snapshot_truncated");
         break;
       }
-      put_app(dir_w, app);
-      put_addr(dir_w, at);
+      put_dir_record(dir_w, app, stamp, dir_.lookup(app));
       ++ndir;
     }
   }
@@ -907,9 +919,8 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   naming::Address member = get_addr(r);
   std::uint16_t n = r.get_u16();
   for (std::uint16_t i = 0; i < n; ++i) {
-    naming::AppName app = get_app(r);
-    naming::Address at = get_addr(r);
-    if (r.ok()) dir_.add(app, at);
+    DirRecord d = get_dir_record(r);
+    if (r.ok()) (void)dir_.apply(d.app, d.at, d.stamp);
   }
   std::uint16_t nlsu = r.get_u16();
   for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i) {
@@ -924,17 +935,6 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
     if (seq > rec.seq) {
       rec.seq = seq;
       rec.neighbors = std::move(neighbors);
-      if (cfg_.rib_delta_sync) {
-        // Seed the replica too, or the first anti-entropy round would
-        // re-pull everything the snapshot already carried.
-        BufWriter lw(16 + 4 * rec.neighbors.size());
-        put_addr(lw, origin);
-        lw.put_u64(seq);
-        lw.put_u16(static_cast<std::uint16_t>(rec.neighbors.size()));
-        for (auto nb : rec.neighbors) put_addr(lw, nb);
-        (void)rib_.upsert_versioned("/routing/lsu/" + origin.to_string(),
-                                    kClsLsu, std::move(lw).take(), seq);
-      }
     }
   }
   if (!r.ok()) return;
@@ -961,7 +961,6 @@ void Ipcp::leave(bool teardown_flows) {
   enrolled_ = false;
   departed_ = true;
   keepalive_timer_.cancel();
-  sync_timer_.cancel();
   for (auto& [app, pr] : pending_resolve_) {
     (void)app;
     pr.timer.cancel();
@@ -979,42 +978,29 @@ void Ipcp::leave(bool teardown_flows) {
 
 // --------------------------- directory ---------------------------
 
-void Ipcp::flood_dir_entry(const naming::AppName& app, std::uint8_t op) {
-  rib::RiepMessage m;
-  m.op = op == 1 ? rib::RiepOp::create : rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirUpd;
-  BufWriter w(32);
-  put_addr(w, address_);
-  w.put_u64(++dir_seq_);
-  w.put_u8(op);
-  put_app(w, app);
-  put_addr(w, address_);
-  m.value = std::move(w).take();
-  flood(m, std::nullopt);
-}
-
-void Ipcp::announce_app(const naming::AppName& app) {
+void Ipcp::publish_dir_change(const naming::AppName& app, bool bound) {
+  // The publisher's next version of the name: it beats every binding and
+  // tombstone this member has seen, so a move here overrides the old home.
+  naming::Directory::Stamp s{dir_.stamp_of(app).version + 1, address_};
+  std::optional<naming::Address> at;
+  if (bound) at = address_;
+  (void)dir_.apply(app, at, s);
+  rib::RiepMessage m = dir_upd_msg(app, s, at);
   if (cfg_.dir_hierarchical) {
     // Registration state lives only on the resolver chain (region
     // anchor + root); nobody floods, everyone else resolves on demand.
-    send_targeted_dir_update(app, 1);
-  } else if (cfg_.rib_delta_sync) {
-    disseminate_dir_delta(app, 1);
+    send_targeted_dir_update(m);
   } else {
-    rib_.upsert("/dif/directory/" + app.to_string(), kClsDirEntry,
-                to_bytes(address_.to_string()));
-    flood_dir_entry(app, 1);
+    flood(m, std::nullopt);
   }
 }
 
 void Ipcp::publish_app(const naming::AppName& app) {
   if (!enrolled_ || address_.is_null()) return;
-  dir_.add(app, address_);
-  announce_app(app);
+  publish_dir_change(app, true);
   // Registration can race adjacency bring-up (the flood reaches only
-  // usable ports); re-announce with fresh sequence numbers until the DIF
-  // has had time to converge.
+  // usable ports); re-announce with fresh versions until the DIF has had
+  // time to converge.
   announce_timers_.erase(
       std::remove_if(announce_timers_.begin(), announce_timers_.end(),
                      [](const sim::Timer& t) { return !t.armed(); }),
@@ -1024,42 +1010,35 @@ void Ipcp::publish_app(const naming::AppName& app) {
         sched().schedule_after(SimTime::from_ms(ms), [this, app] {
           if (enrolled_ &&
               dir_.lookup(app) == std::optional<naming::Address>{address_})
-            announce_app(app);
+            publish_dir_change(app, true);
         }));
   }
 }
 
 void Ipcp::unpublish_app(const naming::AppName& app) {
   std::optional<naming::Address> was = dir_.lookup(app);
-  dir_.remove(app);
-  if (cfg_.dir_hierarchical) {
-    send_targeted_dir_update(app, 2);
-    // Mobility/unregister: every cached copy of the old binding must
-    // die. The authorities cascade the invalidation down their interest
-    // lists when the remove reaches them; here only local state is left.
-    if (was) cascade_dir_inval(app, *was);
-  } else if (cfg_.rib_delta_sync) {
-    disseminate_dir_delta(app, 2);
-  } else {
-    flood_dir_entry(app, 2);
-  }
+  publish_dir_change(app, false);
+  // Mobility/unregister under hierarchical naming: every cached copy of
+  // the old binding must die. The authorities cascade the invalidation
+  // down their interest lists when the remove reaches them; here only
+  // local state is left.
+  if (cfg_.dir_hierarchical && was) cascade_dir_inval(app, *was);
 }
 
 void Ipcp::send_dir_sync(relay::PortIndex idx) {
-  if (!enrolled_ || dir_.size() == 0) return;
+  if (!enrolled_ || dir_.stamps().empty()) return;
   rib::RiepMessage m;
   m.op = rib::RiepOp::write;
   m.obj_name = "/dif/directory";
   m.obj_class = kClsDirSync;
   BufWriter body(256);
   std::uint16_t n = 0;
-  for (const auto& [app, at] : dir_.entries()) {
+  for (const auto& [app, stamp] : dir_.stamps()) {
     if (body.size() > kSnapshotBudget) {
       stats_.inc("snapshot_truncated");
       break;
     }
-    put_app(body, app);
-    put_addr(body, at);
+    put_dir_record(body, app, stamp, dir_.lookup(app));
     ++n;
   }
   BufWriter w(4 + body.size());
@@ -1069,49 +1048,69 @@ void Ipcp::send_dir_sync(relay::PortIndex idx) {
   send_mgmt(idx, m);
 }
 
-void Ipcp::handle_dir_sync(const rib::RiepMessage& m) {
+void Ipcp::handle_dir_sync(relay::PortIndex idx, const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   std::uint16_t n = r.get_u16();
   for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-    naming::AppName app = get_app(r);
-    naming::Address at = get_addr(r);
-    if (r.ok() && !dir_.lookup(app)) dir_.add(app, at);
+    DirRecord d = get_dir_record(r);
+    if (!r.ok()) break;
+    if (d.stamp.origin.is_null()) continue;
+    // A record newer than mine is news the flood never brought here, so
+    // the rest of the DIF may lack it too: pass it on as a DirUpd.
+    if (dir_.apply(d.app, d.at, d.stamp)) flood(dir_upd_msg(d.app, d.stamp, d.at), idx);
   }
 }
 
 bool Ipcp::apply_dir_update(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
-  naming::Address origin = get_addr(r);
-  std::uint64_t seq = r.get_u64();
-  std::uint8_t op = r.get_u8();
-  naming::AppName app = get_app(r);
-  naming::Address at = get_addr(r);
-  if (!r.ok() || origin.is_null()) return false;
-  if (origin == address_) return false;
-  std::uint64_t key = (static_cast<std::uint64_t>(origin.key()) << 24) ^ seq;
-  if (!dir_flood_seen_.insert(key).second) {
+  DirRecord d = get_dir_record(r);
+  if (!r.ok() || d.stamp.origin.is_null()) return false;
+  if (d.stamp.origin == address_) return false;
+  if (!cfg_.dir_hierarchical) {
+    if (dir_.apply(d.app, d.at, d.stamp)) return true;
     stats_.inc("dir_dups_suppressed");
     return false;
   }
-  std::optional<naming::Address> old = dir_.lookup(app);
-  if (op == 1) {
-    dir_.add(app, at);
-    if (!cfg_.dir_hierarchical)
-      rib_.upsert("/dif/directory/" + app.to_string(), kClsDirEntry,
-                  to_bytes(at.to_string()));
-  } else {
-    dir_.remove(app);
-  }
+  // Hierarchical authorities apply targeted updates in arrival order: a
+  // publisher elsewhere in the DIF never saw the name's last version.
+  std::optional<naming::Address> old = dir_.lookup(d.app);
+  if (d.at)
+    dir_.add(d.app, *d.at);
+  else
+    dir_.remove(d.app);
   // An authority losing (or rebinding) an entry kills every cached copy
   // of the old binding via its interest list — mobility costs O(who
   // actually resolved the name), not O(members).
-  if (cfg_.dir_hierarchical && old && (op != 1 || *old != at))
-    cascade_dir_inval(app, *old);
+  if (old && old != d.at) cascade_dir_inval(d.app, *old);
   return true;
 }
 
 void Ipcp::handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (apply_dir_update(m) && !cfg_.dir_hierarchical) flood(m, idx);
+}
+
+// A returning adjacency (carrier back while the peer stayed enrolled, or
+// a keepalive reviving a port) missed every flood sent while it was down.
+// Each side replays its state to the other through the ordinary paths:
+// LSDB records as LSUs and the directory as a DirSync. What the peer
+// already holds stops at its (origin, seq) guard or version stamps; what
+// is news floods on from there.
+
+bool Ipcp::returning_adjacency(relay::PortIndex idx) const {
+  const Port& p = ports_[idx];
+  return enrolled_ && usable(p) &&
+         std::find(last_neighbor_set_.begin(), last_neighbor_set_.end(), p.peer) ==
+             last_neighbor_set_.end();
+}
+
+void Ipcp::resync_adjacency(relay::PortIndex idx) {
+  const naming::Address peer = ports_[idx].peer;
+  // The peer ignores its own record, and mine is re-originated for the
+  // new adjacency anyway.
+  for (const auto& [origin, rec] : lsdb_)
+    if (origin != peer && origin != address_)
+      send_mgmt(idx, lsu_msg(origin, rec.seq, rec.neighbors));
+  if (!cfg_.dir_hierarchical) send_dir_sync(idx);
 }
 
 // ---------------- hierarchical directory resolution ----------------
@@ -1218,18 +1217,7 @@ void Ipcp::finish_dir_query(const naming::AppName& app,
     if (cb) cb(result);
 }
 
-void Ipcp::send_targeted_dir_update(const naming::AppName& app, std::uint8_t op) {
-  rib::RiepMessage m;
-  m.op = op == 1 ? rib::RiepOp::create : rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirUpd;
-  BufWriter w(16 + app.to_string().size());
-  put_addr(w, address_);
-  w.put_u64(++dir_seq_);
-  w.put_u8(op);
-  put_app(w, app);
-  put_addr(w, address_);
-  m.value = std::move(w).take();
+void Ipcp::send_targeted_dir_update(const rib::RiepMessage& m) {
   stats_.inc("dir_targeted_updates");
   naming::Address anchor = dir_anchor();
   if (anchor != address_ && !anchor.is_null()) send_routed_mgmt(anchor, m);
@@ -1246,7 +1234,7 @@ void Ipcp::send_dir_inval(naming::Address to, const naming::AppName& app,
   m.obj_class = kClsDirInval;
   BufWriter w(16 + app.to_string().size());
   put_addr(w, address_);
-  w.put_u64(++dir_seq_);
+  w.put_u64(++dir_inval_seq_);
   put_app(w, app);
   put_addr(w, at);
   m.value = std::move(w).take();
@@ -1271,18 +1259,11 @@ void Ipcp::cascade_dir_inval(const naming::AppName& app, naming::Address at) {
 void Ipcp::handle_dir_inval(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   naming::Address origin = get_addr(r);
-  std::uint64_t seq = r.get_u64();
+  (void)r.get_u64();  // the origin's invalidation sequence number
   naming::AppName app = get_app(r);
   naming::Address at = get_addr(r);
   if (!r.ok() || origin.is_null()) return;
   if (origin == address_) return;
-  // Invalidations share the origin's DirUpd sequence space, so one seen
-  // set covers both kinds.
-  std::uint64_t key = (static_cast<std::uint64_t>(origin.key()) << 24) ^ seq;
-  if (!dir_flood_seen_.insert(key).second) {
-    stats_.inc("dir_dups_suppressed");
-    return;
-  }
   // Drop a stale authoritative binding too — unless a newer
   // registration already replaced it.
   if (dir_.lookup(app) == std::optional<naming::Address>{at}) dir_.remove(app);
@@ -1338,251 +1319,6 @@ void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
     dir_cache_.insert(app, at, sched().now());
   }
   finish_dir_query(app, res);
-}
-
-// ----------------------- versioned delta sync -----------------------
-//
-// cfg.rib_delta_sync: replicated mutations travel as sequence-numbered
-// per-origin deltas (gap pulls on a hole, scoped snapshot when the hole
-// fell off the bounded log), and periodic anti-entropy digest rounds
-// sweep the namespace in sorted windows — the tentpole's RIB layer.
-
-void Ipcp::send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::sync;
-  m.obj_name = "/rib/sync";
-  m.obj_class = cls;
-  m.value = std::move(value);
-  send_mgmt(idx, m);
-}
-
-void Ipcp::disseminate_delta(const std::string& name, const std::string& cls,
-                             Bytes value, std::uint64_t version) {
-  rib::DeltaEntry e;
-  e.seq = ++sync_seq_;
-  e.name = name;
-  e.obj_class = cls;
-  e.version = version;
-  e.value = std::move(value);
-  rib::Delta d;
-  d.origin = address_;
-  d.entries.push_back(e);  // copy: the log keeps its own
-  sync_.log(address_).record(std::move(e));
-  Bytes wire = d.encode();
-  stats_.inc("deltas_originated");
-  for (std::size_t i = 0; i < ports_.size(); ++i)
-    if (usable(ports_[i]))
-      send_sync_msg(static_cast<relay::PortIndex>(i), kClsRibDelta, wire);
-}
-
-void Ipcp::disseminate_dir_delta(const naming::AppName& app, std::uint8_t op) {
-  const std::string name = "/dif/directory/" + app.to_string();
-  BufWriter w(8 + app.to_string().size());
-  w.put_u8(op);  // 1 = bind to me, 2 = tombstone
-  put_app(w, app);
-  put_addr(w, address_);
-  Bytes value = std::move(w).take();
-  // Lamport-ish: bump past whatever version this replica has seen, so a
-  // re-registration after mobility beats the old origin's entries.
-  std::uint64_t ver = rib_.version_of(name) + 1;
-  (void)rib_.upsert_versioned(name, kClsDirEntry, value, ver);
-  disseminate_delta(name, kClsDirEntry, std::move(value), ver);
-}
-
-bool Ipcp::apply_replicated(const rib::DeltaEntry& e) {
-  if (!rib::replicated_scope(e.name)) return false;
-  if (!rib_.upsert_versioned(e.name, e.obj_class, e.value, e.version))
-    return false;  // replica already at this version or newer
-  if (e.obj_class == kClsLsu) {
-    BufReader r(BytesView{e.value});
-    naming::Address origin = get_addr(r);
-    std::uint64_t seq = r.get_u64();
-    std::uint16_t n = r.get_u16();
-    std::vector<naming::Address> neighbors;
-    neighbors.reserve(n);
-    for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(r));
-    if (r.ok() && !origin.is_null() && origin != address_) {
-      auto& rec = lsdb_[origin];
-      if (seq > rec.seq) {
-        if (use_incremental_spf())
-          note_lsu_edge_changes(origin, rec.neighbors, neighbors);
-        rec.seq = seq;
-        rec.neighbors = std::move(neighbors);
-        schedule_spf();
-      }
-    }
-  } else if (e.obj_class == kClsDirEntry) {
-    BufReader r(BytesView{e.value});
-    std::uint8_t op = r.get_u8();
-    naming::AppName app = get_app(r);
-    naming::Address at = get_addr(r);
-    if (r.ok()) {
-      if (op == 1 && !at.is_null())
-        dir_.add(app, at);
-      else if (op == 2)
-        dir_.remove(app);  // version gate already ordered us after any add
-    }
-  }
-  return true;
-}
-
-void Ipcp::handle_rib_delta(relay::PortIndex idx, const rib::RiepMessage& m) {
-  auto decoded = rib::Delta::decode(BytesView{m.value});
-  if (!decoded.ok()) return;
-  rib::Delta& d = decoded.value();
-  stats_.inc("deltas_received");
-  const bool own = d.origin == address_;
-  rib::OriginLog* log = d.origin.is_null() || own ? nullptr : &sync_.log(d.origin);
-  std::uint64_t gap_from = 0, gap_to = 0;
-  rib::Delta fwd;  // fresh logged entries re-flood to the other ports
-  fwd.origin = d.origin;
-  for (rib::DeltaEntry& e : d.entries) {
-    if (e.seq == 0 || log == nullptr) {
-      // Repair entry (snapshot / digest push / pull answer): apply
-      // version-guarded, never log, never re-flood.
-      (void)apply_replicated(e);
-      continue;
-    }
-    if (log->has(e.seq)) {
-      stats_.inc("deltas_dup_suppressed");
-      continue;
-    }
-    // Note the hole *before* recording raises high(): pull exactly the
-    // missed range from whoever showed it to us.
-    if (log->high() != 0 && e.seq > log->high() + 1 && gap_from == 0) {
-      gap_from = log->high() + 1;
-      gap_to = e.seq - 1;
-    }
-    (void)apply_replicated(e);
-    fwd.entries.push_back(e);
-    log->record(std::move(e));
-  }
-  if (!fwd.entries.empty()) {
-    Bytes wire = fwd.encode();
-    for (std::size_t i = 0; i < ports_.size(); ++i) {
-      auto pi = static_cast<relay::PortIndex>(i);
-      if (pi != idx && usable(ports_[i]))
-        send_sync_msg(pi, kClsRibDelta, wire);
-    }
-  }
-  if (gap_from != 0) {
-    stats_.inc("delta_gap_pulls");
-    rib::PullRequest pr;
-    pr.kind = rib::PullRequest::Kind::seq_range;
-    pr.origin = d.origin;
-    pr.from = gap_from;
-    pr.to = gap_to;
-    send_sync_msg(idx, kClsRibPull, pr.encode());
-  }
-}
-
-void Ipcp::push_objects(relay::PortIndex idx, const std::vector<std::string>& names) {
-  rib::Delta d;  // repair delta: origin null, every entry seq 0
-  for (const std::string& n : names) {
-    if (!rib::replicated_scope(n)) continue;
-    const rib::Rib::Object* o = rib_.find(n);
-    if (o == nullptr) continue;
-    d.entries.push_back(rib::DeltaEntry{0, n, o->obj_class, o->version, o->value});
-  }
-  if (d.entries.empty()) return;
-  stats_.inc("objects_pushed", d.entries.size());
-  send_sync_msg(idx, kClsRibDelta, d.encode());
-}
-
-void Ipcp::send_port_digest(relay::PortIndex idx) {
-  if (!enrolled_) return;
-  rib::Digest dg = rib::build_digest(rib_, "", cfg_.rib_digest_budget);
-  send_sync_msg(idx, kClsRibDigest, dg.encode());
-}
-
-void Ipcp::handle_rib_finger(relay::PortIndex idx, const rib::RiepMessage& m) {
-  auto decoded = rib::Fingerprint::decode(BytesView{m.value});
-  if (!decoded.ok()) return;
-  // Rebuild the peer's window from our own rib: a converged pair hashes
-  // equal and the round ends here for O(1) bytes. On mismatch, answer
-  // with our window — the peer diffs it and pushes/pulls the repair.
-  rib::Digest mine =
-      rib::build_digest(rib_, decoded.value().after, cfg_.rib_digest_budget);
-  if (rib::digest_fingerprint(mine) == decoded.value().hash) {
-    stats_.inc("digest_finger_hits");
-    return;
-  }
-  stats_.inc("digest_finger_misses");
-  send_sync_msg(idx, kClsRibDigest, mine.encode());
-}
-
-void Ipcp::handle_rib_digest(relay::PortIndex idx, const rib::RiepMessage& m) {
-  auto decoded = rib::Digest::decode(BytesView{m.value});
-  if (!decoded.ok()) return;
-  rib::DigestDiff diff = rib::diff_digest(rib_, decoded.value());
-  if (!diff.push.empty()) push_objects(idx, diff.push);
-  if (!diff.want.empty()) {
-    rib::PullRequest pr;
-    pr.kind = rib::PullRequest::Kind::names;
-    pr.names = std::move(diff.want);
-    stats_.inc("digest_pulls");
-    send_sync_msg(idx, kClsRibPull, pr.encode());
-  }
-}
-
-void Ipcp::handle_rib_pull(relay::PortIndex idx, const rib::RiepMessage& m) {
-  auto decoded = rib::PullRequest::decode(BytesView{m.value});
-  if (!decoded.ok()) return;
-  rib::PullRequest& pr = decoded.value();
-  if (pr.kind == rib::PullRequest::Kind::names) {
-    push_objects(idx, pr.names);
-    return;
-  }
-  // My own dissemination log lives in sync_ too, so one lookup covers
-  // pulls for my deltas and relayed ones alike.
-  const rib::OriginLog* log = sync_.find_log(pr.origin);
-  if (log != nullptr && log->can_serve(pr.from, pr.to)) {
-    rib::Delta d;
-    d.origin = pr.origin;
-    d.entries = log->collect(pr.from, pr.to);
-    // Served from the log these keep their seqs, but as a direct answer
-    // (not a flood) the peer logs them without re-flooding loops: the
-    // normal delta path handles that.
-    send_sync_msg(idx, kClsRibDelta, d.encode());
-  } else {
-    // The range fell off the bounded log: full scoped snapshot fallback.
-    stats_.inc("snapshot_fallbacks");
-    rib::Delta snap = rib::build_snapshot(rib_, kSyncSnapshotEntries);
-    send_sync_msg(idx, kClsRibDelta, snap.encode());
-  }
-}
-
-void Ipcp::anti_entropy_round() {
-  if (!enrolled_ || departed_) return;  // stops the reschedule chain
-  auto nbrs = live_neighbors();
-  if (!nbrs.empty()) {
-    // One neighbor per round (deterministic round-robin), one sorted
-    // window of the namespace per round: steady-state cost is a few
-    // dozen (name, version) pairs, independent of DIF size.
-    auto it = nbrs.begin();
-    std::advance(it, static_cast<std::ptrdiff_t>(sync_rr_++ % nbrs.size()));
-    relay::PortIndex idx = it->second.front();
-    rib::Digest dg = rib::build_digest(rib_, sync_.cursor, cfg_.rib_digest_budget);
-    sync_.cursor = rib::next_cursor(dg);
-    stats_.inc("digest_rounds");
-    rib::Fingerprint fp;
-    fp.after = dg.after;
-    fp.hash = rib::digest_fingerprint(dg);
-    send_sync_msg(idx, kClsRibFinger, fp.encode());
-  }
-  sync_timer_ = sched().schedule_after(cfg_.rib_sync_interval,
-                                       [this] { anti_entropy_round(); });
-}
-
-void Ipcp::start_sync_timer() {
-  if (sync_timer_.armed()) return;
-  // Deterministic per-member phase stagger so a whole region's members
-  // don't digest in the same tick.
-  std::int64_t step = cfg_.rib_sync_interval.ns;
-  std::int64_t phase =
-      static_cast<std::int64_t>(splitmix64(address_.key()) % 16) * (step / 16);
-  sync_timer_ = sched().schedule_after(SimTime{step + phase},
-                                       [this] { anti_entropy_round(); });
 }
 
 // ------------------------- incremental SPF -------------------------

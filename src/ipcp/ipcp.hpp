@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,6 @@
 #include "naming/names.hpp"
 #include "relay/forwarding.hpp"
 #include "rib/riep.hpp"
-#include "rib/sync.hpp"
 #include "routing/graph.hpp"
 #include "sim/scheduler.hpp"
 
@@ -282,7 +280,6 @@ class Ipcp {
   /// it (rmt_content_store_enabled).
   content::ContentStore* content_store() { return cstore_.get(); }
   naming::Directory& directory() { return dir_; }
-  rib::Rib& rib() { return rib_; }
   Stats& stats() { return stats_; }
 
   /// Sum a counter across this IPCP's stat domains (core, RMT, FA,
@@ -369,9 +366,16 @@ class Ipcp {
   void handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m);
   bool apply_dir_update(const rib::RiepMessage& m);  // true = fresh
   void send_dir_sync(relay::PortIndex idx);
-  void handle_dir_sync(const rib::RiepMessage& m);
-  void flood_dir_entry(const naming::AppName& app, std::uint8_t op);
-  void announce_app(const naming::AppName& app);  // mode-dispatched register
+  void handle_dir_sync(relay::PortIndex idx, const rib::RiepMessage& m);
+  /// Stamp my directory change to `app` (bind here, or remove) and tell
+  /// the DIF: a flood, or the resolver chain when hierarchical.
+  void publish_dir_change(const naming::AppName& app, bool bound);
+  /// The peer behind `idx` is back after an outage: hand it what the
+  /// floods could not reach it with (LSDB records, directory).
+  void resync_adjacency(relay::PortIndex idx);
+  /// Would `idx` being usable bring back a neighbor the last adjacency
+  /// change had lost? (Not on a first hello: that is bring-up.)
+  [[nodiscard]] bool returning_adjacency(relay::PortIndex idx) const;
 
   // Hierarchical directory plumbing.
   [[nodiscard]] naming::Address resolver_parent() const;
@@ -381,7 +385,7 @@ class Ipcp {
   void send_dir_query(const naming::AppName& app);
   void finish_dir_query(const naming::AppName& app,
                         std::optional<naming::Address> result);
-  void send_targeted_dir_update(const naming::AppName& app, std::uint8_t op);
+  void send_targeted_dir_update(const rib::RiepMessage& m);
   void send_dir_inval(naming::Address to, const naming::AppName& app,
                       naming::Address at);
   void cascade_dir_inval(const naming::AppName& app, naming::Address at);
@@ -389,20 +393,6 @@ class Ipcp {
   void handle_dir_read_reply(const rib::RiepMessage& m);
   void handle_dir_inval(const rib::RiepMessage& m);
 
-  // Versioned delta RIB sync (cfg.rib_delta_sync; src/rib/sync.hpp).
-  void disseminate_dir_delta(const naming::AppName& app, std::uint8_t op);
-  void disseminate_delta(const std::string& name, const std::string& cls,
-                         Bytes value, std::uint64_t version);
-  bool apply_replicated(const rib::DeltaEntry& e);
-  void send_sync_msg(relay::PortIndex idx, const char* cls, Bytes value);
-  void push_objects(relay::PortIndex idx, const std::vector<std::string>& names);
-  void send_port_digest(relay::PortIndex idx);
-  void handle_rib_delta(relay::PortIndex idx, const rib::RiepMessage& m);
-  void handle_rib_finger(relay::PortIndex idx, const rib::RiepMessage& m);
-  void handle_rib_digest(relay::PortIndex idx, const rib::RiepMessage& m);
-  void handle_rib_pull(relay::PortIndex idx, const rib::RiepMessage& m);
-  void anti_entropy_round();
-  void start_sync_timer();
   [[nodiscard]] std::uint64_t auth_token(std::uint64_t nonce) const;
   void send_hello(relay::PortIndex idx);
   void join_attempt(relay::PortIndex idx);
@@ -445,7 +435,6 @@ class Ipcp {
 
   std::vector<Port> ports_;
   naming::Directory dir_;
-  rib::Rib rib_;
   Stats stats_;
   // Per-mgmt-PDU counter cells (Stats::slot): send_mgmt classifies every
   // keepalive/hello/LSU it emits, which at scale is the busiest non-data
@@ -461,11 +450,11 @@ class Ipcp {
   Enrollment enrollment_;
   std::unique_ptr<content::ContentStore> cstore_;  // per-DIF RMT policy
 
-  // Link-state database and flood dedup state.
+  // Link-state database: with dir_ and its version stamps, this member's
+  // share of the DIF's replicated state.
   std::map<naming::Address, LsuRecord> lsdb_;
   std::uint64_t lsu_seq_ = 0;
-  std::set<std::uint64_t> dir_flood_seen_;
-  std::uint64_t dir_seq_ = 0;
+  std::uint64_t dir_inval_seq_ = 0;
   std::vector<naming::Address> last_neighbor_set_;
 
   // Hierarchical directory resolution state (cfg_.dir_hierarchical).
@@ -480,12 +469,6 @@ class Ipcp {
   // the resolver chain). Invalidations cascade down these edges instead
   // of flooding the DIF, so a mobility event costs O(actual interest).
   std::map<naming::AppName, std::map<naming::Address, SimTime>> dir_interest_;
-
-  // Delta sync state (cfg_.rib_delta_sync): per-origin logs + cursor.
-  rib::SyncState sync_;
-  std::uint64_t sync_seq_ = 0;  // my own dissemination sequence
-  std::size_t sync_rr_ = 0;     // anti-entropy neighbor round-robin
-  sim::Timer sync_timer_;
 
   // Incremental SPF state (use_incremental_spf()): the live graph
   // mirror, the last SPF result to repair from, and the edge deltas

@@ -5,10 +5,16 @@
 // the only place names meet addresses, and it lives entirely inside the
 // DIF: nothing here is visible to applications or to other DIFs.
 //
-// Entries stay in an ordered map (snapshots and digests iterate it in a
-// deterministic order); an address-keyed reverse index makes departure
-// cleanup — remove_at(addr) on every member death/mobility event — cost
+// Entries stay in an ordered map (snapshots iterate it in a deterministic
+// order); an address-keyed reverse index makes departure cleanup —
+// remove_at(addr) on every member death/mobility event — cost
 // O(registrations at that address) instead of a full scan.
+//
+// A replicated (flooded) directory also keeps one Stamp per name: the
+// publisher's version, ties broken by the publisher's address. apply()
+// installs a binding or a removal only when its stamp is newer, so
+// re-floods and stale resyncs never regress a name, and a removal
+// outlives the binding as a version-only tombstone.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +29,15 @@ namespace rina::naming {
 
 class Directory {
  public:
+  struct Stamp {
+    std::uint64_t version = 0;  // 0 = never published
+    Address origin;
+
+    [[nodiscard]] bool newer_than(const Stamp& o) const {
+      return version != o.version ? version > o.version : origin.key() > o.origin.key();
+    }
+  };
+
   void add(const AppName& app, Address at) {
     auto [it, inserted] = entries_.emplace(app, at);
     if (!inserted) {
@@ -40,7 +55,27 @@ class Directory {
     entries_.erase(it);
   }
 
-  /// Drop every registration pointing at `at` (a departed member).
+  /// Versioned update: bind `app` to `at` (nullopt = remove) if `s` is
+  /// newer than the name's stamp. False = stale or duplicate, no change.
+  bool apply(const AppName& app, std::optional<Address> at, Stamp s) {
+    Stamp& cur = stamps_[app];
+    if (!s.newer_than(cur)) return false;
+    cur = s;
+    if (at) add(app, *at);
+    else remove(app);
+    return true;
+  }
+
+  [[nodiscard]] Stamp stamp_of(const AppName& app) const {
+    auto it = stamps_.find(app);
+    return it == stamps_.end() ? Stamp{} : it->second;
+  }
+
+  /// Every stamped name, tombstones included (lookup() tells which).
+  [[nodiscard]] const std::map<AppName, Stamp>& stamps() const { return stamps_; }
+
+  /// Drop every registration pointing at `at` (a departed member). The
+  /// names keep their stamps, so a resync of the same binding is stale.
   void remove_at(Address at) {
     auto rit = reverse_.find(at.key());
     if (rit == reverse_.end()) return;
@@ -76,6 +111,7 @@ class Directory {
   }
 
   std::map<AppName, Address> entries_;
+  std::map<AppName, Stamp> stamps_;
   std::unordered_map<std::uint32_t, std::vector<AppName>> reverse_;
 };
 

@@ -1,6 +1,7 @@
 // test_network — end-to-end through the façade: build a DIF over wires,
 // register by name, allocate a flow, move data; relay through a middle
-// system; reject an enrollment with bad credentials; overlay DIFs.
+// system; reject an enrollment with bad credentials; overlay DIFs;
+// directory repair after a partition heals.
 #include "node/network.hpp"
 
 #include <functional>
@@ -175,11 +176,71 @@ static void link_failure_reroutes() {
   CHECK(got == 2);
 }
 
+// --- partition repair: a returning adjacency resyncs what it missed ---
+//
+// Star a—r—{b, x} in one flat DIF. The a—r wire is down for 2 s — long
+// past every re-announce — while `during` changes the directory at the
+// far side. Once the wire is back, a's directory must equal r's.
+
+enum class Partitioned { register_app, move_app, unregister_app };
+
+static void partition_repair(Partitioned what) {
+  Network net(47);
+  net.add_link("a", "r");
+  net.add_link("r", "b");
+  net.add_link("r", "x");
+  CHECK(net.build_link_dif(spec("d", {"a", "r", "b", "x"})).ok());
+  const naming::DifName dif{"d"};
+  const naming::AppName srv("srv");
+  std::string accepted_at;
+  auto accept_on = [&](const std::string& node) {
+    return [&accepted_at, node](flow::Flow) { accepted_at = node; };
+  };
+  if (what != Partitioned::register_app) {
+    CHECK(net.node("b").register_app(srv, dif, accept_on("b")).ok());
+    net.run_for(SimTime::from_ms(600));
+    CHECK(net.node("a").ipcp(dif)->directory().lookup(srv).has_value());
+  }
+
+  CHECK(net.set_link_state("a", "r", false).ok());
+  net.run_for(SimTime::from_ms(50));
+  switch (what) {
+    case Partitioned::register_app:
+      CHECK(net.node("b").register_app(srv, dif, accept_on("b")).ok());
+      break;
+    case Partitioned::move_app:
+      CHECK(net.node("b").ipcp(dif)->fa().unregister_app(srv).ok());
+      net.run_for(SimTime::from_ms(30));
+      CHECK(net.node("x").register_app(srv, dif, accept_on("x")).ok());
+      break;
+    case Partitioned::unregister_app:
+      CHECK(net.node("b").ipcp(dif)->fa().unregister_app(srv).ok());
+      break;
+  }
+  net.run_for(SimTime::from_sec(2));
+  CHECK(net.set_link_state("a", "r", true).ok());
+  net.run_for(SimTime::from_ms(200));
+
+  const naming::Directory& at_a = net.node("a").ipcp(dif)->directory();
+  const naming::Directory& at_r = net.node("r").ipcp(dif)->directory();
+  CHECK(at_a.entries() == at_r.entries());
+  if (what == Partitioned::unregister_app) {
+    CHECK(!at_a.lookup(srv).has_value());
+    return;
+  }
+  flow::Flow f = open_flow(net, "a", "cli", "srv");
+  CHECK(f.is_open());
+  CHECK(accepted_at == (what == Partitioned::move_app ? "x" : "b"));
+}
+
 int main() {
   two_hosts_flow();
   relayed_flow();
   wrong_psk_rejected();
   overlay_dif_carries_data();
   link_failure_reroutes();
+  partition_repair(Partitioned::register_app);
+  partition_repair(Partitioned::move_app);
+  partition_repair(Partitioned::unregister_app);
   return TEST_MAIN_RESULT();
 }

@@ -90,28 +90,10 @@ static void riep_roundtrip() {
   CHECK(!rib::RiepMessage::decode(BytesView{bad}).ok());
 }
 
-static void rib_ops() {
-  rib::Rib rib;
-  CHECK(rib.create("/a/b", "Blob", to_bytes("v1")).ok());
-  CHECK(!rib.create("/a/b", "Blob", to_bytes("v2")).ok());  // duplicate
-  CHECK(rib.write("/a/b", to_bytes("v2")).ok());
-  CHECK(!rib.write("/missing", to_bytes("x")).ok());
-  auto r = rib.read("/a/b");
-  CHECK(r.ok());
-  CHECK(to_string(BytesView{r.value()}) == "v2");
-  CHECK(!rib.read("/missing").ok());
-  CHECK(rib.remove("/a/b").ok());
-  CHECK(!rib.remove("/a/b").ok());
-  rib.upsert("/c", "Blob", to_bytes("x"));
-  rib.upsert("/c", "Blob", to_bytes("y"));
-  CHECK(rib.size() == 1);
-}
-
 int main() {
   pdu_roundtrip();
   pdu_empty_payload();
   pdu_corrupt();
   riep_roundtrip();
-  rib_ops();
   return TEST_MAIN_RESULT();
 }
