@@ -1234,7 +1234,6 @@ void Ipcp::send_dir_inval(naming::Address to, const naming::AppName& app,
   m.obj_class = kClsDirInval;
   BufWriter w(16 + app.to_string().size());
   put_addr(w, address_);
-  w.put_u64(++dir_inval_seq_);
   put_app(w, app);
   put_addr(w, at);
   m.value = std::move(w).take();
@@ -1259,7 +1258,6 @@ void Ipcp::cascade_dir_inval(const naming::AppName& app, naming::Address at) {
 void Ipcp::handle_dir_inval(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   naming::Address origin = get_addr(r);
-  (void)r.get_u64();  // the origin's invalidation sequence number
   naming::AppName app = get_app(r);
   naming::Address at = get_addr(r);
   if (!r.ok() || origin.is_null()) return;

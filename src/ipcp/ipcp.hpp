@@ -454,7 +454,6 @@ class Ipcp {
   // share of the DIF's replicated state.
   std::map<naming::Address, LsuRecord> lsdb_;
   std::uint64_t lsu_seq_ = 0;
-  std::uint64_t dir_inval_seq_ = 0;
   std::vector<naming::Address> last_neighbor_set_;
 
   // Hierarchical directory resolution state (cfg_.dir_hierarchical).

@@ -1,5 +1,6 @@
 // test_fib — Dijkstra with equal-cost sets, two-step forwarding lookups
-// (late PoA binding, round-robin), region aggregation, and the directory.
+// (late PoA binding, round-robin), region aggregation, the directory and
+// its version stamps, and incremental SPF against full Dijkstra.
 #include "naming/directory.hpp"
 #include "relay/forwarding.hpp"
 #include "routing/graph.hpp"
@@ -111,6 +112,22 @@ static void directory() {
   CHECK(dir.lookup(app2).has_value());
   dir.remove(app2);
   CHECK(dir.size() == 0);
+
+  // Versioned updates: newer stamps win, ties go to the higher origin,
+  // and a removal stays behind as a tombstone that stale copies lose to.
+  using Stamp = naming::Directory::Stamp;
+  Address b{1, 7}, x{1, 8};
+  CHECK(dir.apply(app, b, Stamp{1, b}));
+  CHECK(!dir.apply(app, b, Stamp{1, b}));  // a re-flood
+  CHECK(dir.apply(app, x, Stamp{1, x}));   // same version, higher origin
+  CHECK(!dir.apply(app, b, Stamp{1, b}));
+  CHECK(dir.lookup(app).value() == x);
+  CHECK(dir.apply(app, std::nullopt, Stamp{2, x}));
+  CHECK(!dir.lookup(app).has_value());
+  CHECK(!dir.apply(app, x, Stamp{1, x}));  // the tombstone holds
+  CHECK(dir.stamp_of(app).version == 2 && dir.stamps().size() == 1);
+  CHECK(dir.apply(app, b, Stamp{3, b}));
+  CHECK(dir.lookup(app).value() == b);
 }
 
 // --- incremental SPF ---
