@@ -20,7 +20,8 @@
 // per churn event, directory convergence after the last move, name
 // resolution latency p50/p99 (sim time, cold misses and warm cache
 // hits mixed), SPF runs per churn event, and duplicate LSUs/DirUpds
-// suppressed by the (origin, seq) dedup guard.
+// suppressed by the LSU (origin, seq) guard and the directory's version
+// stamps.
 //
 // All columns are sim-derived and deterministic: same binary + env ->
 // byte-identical stdout. Set RINA_BENCH_JSON=<path> for a JSON copy.

@@ -179,8 +179,8 @@ static void link_failure_reroutes() {
 // --- partition repair: a returning adjacency resyncs what it missed ---
 //
 // Star a—r—{b, x} in one flat DIF. The a—r wire is down for 2 s — long
-// past every re-announce — while `during` changes the directory at the
-// far side. Once the wire is back, a's directory must equal r's.
+// past every re-announce — while the far side registers, moves or
+// unregisters `srv`. Once the wire is back, a's directory must equal r's.
 
 enum class Partitioned { register_app, move_app, unregister_app };
 
