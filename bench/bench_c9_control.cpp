@@ -6,8 +6,9 @@
 //   flat   — every registration/unregistration floods a DirUpd to all N
 //            members, every LSU floods everywhere and triggers a full
 //            Dijkstra at every member: cost ~ O(N) per event. A link
-//            that comes back resyncs its two ends (LSDB records as LSUs,
-//            the directory as a DirSync).
+//            that comes back resyncs its two ends: each hands the other
+//            its LSDB records and directory in one Sync (~22 B a record,
+//            one PDU up to ~2,500 records).
 //   inc    — flat flooding plus incremental_spf: SPF repairs only the
 //            affected subtrees (or skips entirely when a change touches
 //            no shortest path). The bytes on the wire are flat's.
@@ -22,6 +23,9 @@
 // hits mixed), SPF runs per churn event, and duplicate LSUs/DirUpds
 // suppressed by the LSU (origin, seq) guard and the directory's version
 // stamps.
+//
+// The flap window is a gate: the bench aborts if any member's RMT
+// tail-drops a PDU during it (a resync outgrowing a port's egress queue).
 //
 // All columns are sim-derived and deterministic: same binary + env ->
 // byte-identical stdout. Set RINA_BENCH_JSON=<path> for a JSON copy.
@@ -210,6 +214,7 @@ Out run_point(const Shape& s, Mode mode) {
   std::uint64_t fbytes0 = net.sum_dif_counter(dif, "mgmt_bytes_sent");
   std::uint64_t vtx0 = net.sum_dif_counter(dif, "spf_vertices_recomputed");
   std::uint64_t spf0 = net.sum_dif_counter(dif, "spf_runs");
+  std::uint64_t drops0 = net.sum_dif_counter(dif, "rmt_drops");
   for (std::uint64_t e = 0; e < flap_events; ++e) {
     int r = static_cast<int>(splitmix64(rng) %
                              static_cast<std::uint64_t>(s.regions));
@@ -219,6 +224,13 @@ Out run_point(const Shape& s, Mode mode) {
     net.run_for(SimTime::from_ms(60));
     (void)net.set_link_state(anchor(r), spoke(r, m), true);
     net.run_for(SimTime::from_ms(60));
+  }
+  if (std::uint64_t drops = net.sum_dif_counter(dif, "rmt_drops") - drops0) {
+    std::fprintf(stderr,
+                 "c9: %llu RMT drops in the flap window (%d members, %s): a "
+                 "resync outgrew a port's egress queue\n",
+                 static_cast<unsigned long long>(drops), s.members(), mode_name(mode));
+    std::abort();
   }
   out.flap_bytes_per_event =
       static_cast<double>(net.sum_dif_counter(dif, "mgmt_bytes_sent") -
@@ -342,7 +354,8 @@ int main() {
   std::printf(
       "\nflat floods every directory change to all N members and every\n"
       "member re-derives all N routes per LSU; a returning link resyncs\n"
-      "its two ends (LSDB records and directory), part of flap B/evt.\n"
+      "its two ends (one Sync of LSDB records and directory each), part\n"
+      "of flap B/evt; no flap may cost an RMT drop.\n"
       "inc floods the same bytes but repairs only the SPF subtree behind\n"
       "the changed edge — its win is SPF vtx/evt, ~O(subtree) instead of\n"
       "O(N) per member per flap. hier additionally confines\n"

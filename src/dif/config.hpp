@@ -26,10 +26,9 @@ struct DifConfig {
   std::string auth_secret;
 
   /// Liveness probing of adjacencies (needed when the lower level cannot
-  /// signal carrier loss, i.e. for overlay DIFs).
+  /// signal carrier loss, i.e. for overlay DIFs); 3 silent intervals kill one.
   bool keepalive_enabled = false;
   SimTime keepalive_interval = SimTime::from_ms(100);
-  int keepalive_misses = 3;
 
   /// RMT egress discipline. Queues are bounded per QoS class (one shared
   /// class under fifo); a class queue deeper than rmt_ecn_threshold sets
@@ -47,8 +46,7 @@ struct DifConfig {
   /// policy: nothing above or below this DIF can tell, which is the
   /// paper's point about specializing a DIF for a job (here: CDN).
   bool rmt_content_store_enabled = false;
-  std::size_t rmt_content_store_objects = 1024;  // live-entry capacity
-  SimTime rmt_content_store_ttl{};               // 0 = no expiry
+  std::size_t rmt_content_store_objects = 1024;  // live entries, no expiry
 
   /// Per-flow application receive queue depth (SDUs). The flow allocator
   /// delivers into this bounded queue and the app pulls with Flow::read;
@@ -71,8 +69,7 @@ struct DifConfig {
   bool dir_hierarchical = false;
   naming::Address dir_root{};       // null = the anchor is the top
   std::uint16_t dir_anchor_node = 1;  // anchor = {my region, this node}
-  SimTime dir_cache_ttl = SimTime::from_ms(2000);
-  std::size_t dir_cache_entries = 4096;
+  SimTime dir_cache_ttl = SimTime::from_ms(2000);  // cache of 4096 names
 
   /// Incremental SPF: repair the previous shortest-path tree from the
   /// edge deltas an LSU implies — skipping entirely when no changed

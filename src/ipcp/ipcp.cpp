@@ -25,7 +25,7 @@ constexpr const char* kClsJoinReject = "JoinReject";
 constexpr const char* kClsBye = "Bye";
 constexpr const char* kClsLsu = "LSU";
 constexpr const char* kClsDirUpd = "DirUpd";
-constexpr const char* kClsDirSync = "DirSync";
+constexpr const char* kClsSync = "Sync";                // state hand-over
 constexpr const char* kClsDirRead = "DirRead";          // query up the chain
 constexpr const char* kClsDirReadReply = "DirReadReply";
 constexpr const char* kClsDirInval = "DirInval";        // cache invalidation
@@ -59,8 +59,11 @@ constexpr SimTime kDirQueryRetry = SimTime::from_ms(50);
 constexpr int kMaxDirQueryAttempts = 4;
 constexpr std::size_t kMaxDirInterest = 128;
 constexpr std::uint64_t kHelloNonce = 0x48454c4c4f754c4cULL;
-// Keep management snapshots comfortably inside the PCI's u16 payload
-// length (there is no fragmentation); overflow is truncated + counted.
+// An adjacency is dead after this many keepalive intervals of silence.
+constexpr int kKeepaliveMisses = 3;
+constexpr std::size_t kDirCacheEntries = 4096;  // resolved names cached per member
+// A Sync chunk stays comfortably inside the PCI's u16 payload length
+// (there is no fragmentation); larger state goes in more chunks.
 constexpr std::size_t kSnapshotBudget = 56000;
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -128,6 +131,20 @@ naming::AppName get_app(BufReader& r) {
   return a;
 }
 
+/// One link-state record: an LSU's value, and each LSDB entry of a
+/// Sync. Layout: origin | u64 seq | u16 n | n neighbor addresses.
+std::size_t lsu_record_size(const std::vector<naming::Address>& neighbors) {
+  return 14 + 4 * neighbors.size();
+}
+
+void put_lsu_record(BufWriter& w, naming::Address origin, std::uint64_t seq,
+                    const std::vector<naming::Address>& neighbors) {
+  put_addr(w, origin);
+  w.put_u64(seq);
+  w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
+  for (auto n : neighbors) put_addr(w, n);
+}
+
 /// One link-state record as the LSU that floods it.
 rib::RiepMessage lsu_msg(naming::Address origin, std::uint64_t seq,
                          const std::vector<naming::Address>& neighbors) {
@@ -135,24 +152,24 @@ rib::RiepMessage lsu_msg(naming::Address origin, std::uint64_t seq,
   m.op = rib::RiepOp::write;
   m.obj_name = "/routing/lsu/" + origin.to_string();
   m.obj_class = kClsLsu;
-  BufWriter w(16 + 4 * neighbors.size());
-  put_addr(w, origin);
-  w.put_u64(seq);
-  w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
-  for (auto n : neighbors) put_addr(w, n);
+  BufWriter w(lsu_record_size(neighbors));
+  put_lsu_record(w, origin, seq, neighbors);
   m.value = std::move(w).take();
   return m;
 }
 
-/// One directory record: a DirUpd's value, and each entry of a DirSync
-/// or of the enrollment snapshot. Layout: origin | u64 version |
-/// u8 op (1 = bound, 2 = removed) | app | bound address. `at` is nullopt
-/// for a removal (a tombstone).
+/// One directory record: a DirUpd's value, and each directory entry of
+/// a Sync. Layout: origin | u64 version | u8 op (1 = bound, 2 = removed)
+/// | app | bound address. `at` is nullopt for a removal (a tombstone).
 struct DirRecord {
   naming::AppName app;
   naming::Directory::Stamp stamp;
   std::optional<naming::Address> at;
 };
+
+std::size_t dir_record_size(const naming::AppName& a) {
+  return 21 + a.process.size() + a.instance.size();
+}
 
 void put_dir_record(BufWriter& w, const naming::AppName& app,
                     naming::Directory::Stamp s, std::optional<naming::Address> at) {
@@ -186,6 +203,17 @@ rib::RiepMessage dir_upd_msg(const naming::AppName& app, naming::Directory::Stam
   return m;
 }
 
+/// One chunk of a member's state: u16 ndir | ndir directory records |
+/// u16 nlsu | nlsu LSDB records.
+rib::RiepMessage sync_msg(Bytes chunk) {
+  rib::RiepMessage m;
+  m.op = rib::RiepOp::write;
+  m.obj_name = "/dif/sync";
+  m.obj_class = kClsSync;
+  m.value = std::move(chunk);
+  return m;
+}
+
 }  // namespace
 
 // ============================ Ipcp core ============================
@@ -196,17 +224,16 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
       dif_id_(dif_id),
       rmt_(*this),
       fa_(*this),
-      enrollment_(*this) {
+      enrollment_(*this),
+      dir_cache_(cfg.dir_cache_ttl, kDirCacheEntries) {
   c_hellos_sent_ = stats_.slot("hellos_sent");
   c_keepalives_sent_ = stats_.slot("keepalives_sent");
   c_lsus_flooded_ = stats_.slot("lsus_flooded");
   c_riep_sent_ = stats_.slot("riep_sent");
   c_mgmt_bytes_ = stats_.slot("mgmt_bytes_sent");
-  dir_cache_.configure(cfg_.dir_cache_ttl, cfg_.dir_cache_entries);
   if (cfg_.cubes.empty()) cfg_.cubes = dif::default_cubes();
   if (cfg_.rmt_content_store_enabled && cfg_.rmt_content_store_objects > 0)
-    cstore_ = std::make_unique<content::ContentStore>(
-        cfg_.rmt_content_store_objects, cfg_.rmt_content_store_ttl);
+    cstore_ = std::make_unique<content::ContentStore>(cfg_.rmt_content_store_objects);
 }
 
 std::uint64_t Ipcp::counter_sum(const std::string& name) const {
@@ -258,12 +285,12 @@ void Ipcp::start_port(relay::PortIndex idx) {
   send_hello(idx);
 }
 
-void Ipcp::send_hello(relay::PortIndex idx) {
+void Ipcp::send_hello(relay::PortIndex idx, rib::RiepOp op) {
   if (!enrolled_) return;
   Port& p = ports_[idx];
   p.hello_sent = true;
   rib::RiepMessage m;
-  m.op = rib::RiepOp::create;
+  m.op = op;
   m.obj_name = "/dif/members/" + host_.node_name();
   m.obj_class = kClsHello;
   BufWriter w(32);
@@ -288,10 +315,10 @@ void Ipcp::set_port_carrier(relay::PortIndex idx, bool up) {
   if (up) {
     p.alive = true;
     p.last_heard = sched().now();
+    // Hello retries pause while the carrier is down: resume them.
+    if (p.hello_sent && !p.peer_enrolled) send_hello(idx);
   }
-  bool back = up && returning_adjacency(idx);
-  adjacency_changed();
-  if (back) resync_adjacency(idx);
+  port_changed(idx);
 }
 
 void Ipcp::port_ready(relay::PortIndex idx) { rmt_.drain(idx); }
@@ -494,6 +521,10 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
              cls == kClsJoinResp || cls == kClsJoinAccept ||
              cls == kClsJoinReject) {
     handle_join_msg(idx, m);
+  } else if (cls == kClsSync && (p.peer_enrolled || joining_via(idx))) {
+    // From a member, or from my sponsor ahead of its JoinAccept.
+    BufReader r(BytesView{m.value});
+    (void)apply_sync(idx, r);
   } else if (!p.peer_enrolled) {
     // Non-members only get to talk enrollment.
     rmt_.stats_.inc("drop_unenrolled_port");
@@ -505,8 +536,6 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
     handle_lsu(idx, m);
   } else if (cls == kClsDirUpd) {
     handle_dir_update(idx, m);
-  } else if (cls == kClsDirSync) {
-    handle_dir_sync(idx, m);
   }
 }
 
@@ -526,22 +555,21 @@ void Ipcp::handle_hello(relay::PortIndex idx, const rib::RiepMessage& m) {
   p.peer = addr;
   p.peer_enrolled = true;
   p.alive = true;
-  if (!p.hello_sent) send_hello(idx);
-  if (changed) {
-    // A fresh adjacency: hand the peer the directory the flood could not
-    // have reached it with (hierarchical naming replicates none).
-    if (!cfg_.dir_hierarchical) send_dir_sync(idx);
-    adjacency_changed();
+  if (!p.hello_sent) {
+    send_hello(idx);
+  } else if (!changed && m.op == rib::RiepOp::create) {
+    // The peer repeats its hello, so it never heard mine. Answer with a
+    // reply, which is never answered: two members cannot ping-pong.
+    send_hello(idx, rib::RiepOp::reply);
   }
+  if (changed) port_changed(idx);
 }
 
 void Ipcp::handle_keepalive(relay::PortIndex idx) {
   Port& p = ports_[idx];
   if (!p.alive) {
     p.alive = true;
-    bool back = returning_adjacency(idx);
-    adjacency_changed();
-    if (back) resync_adjacency(idx);
+    port_changed(idx);
   }
 }
 
@@ -615,34 +643,35 @@ void Ipcp::flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> exce
 void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
   stats_.inc("lsus_received");
   BufReader r(BytesView{m.value});
+  if (!apply_lsu(r)) return;
+  flood(m, idx);
+  schedule_spf();
+}
+
+std::optional<naming::Address> Ipcp::apply_lsu(BufReader& r) {
   naming::Address origin = get_addr(r);
   std::uint64_t seq = r.get_u64();
-  if (!r.ok() || origin.is_null()) return;
-  if (origin == address_) return;
-  // Duplicate guard *before* the (larger) neighbor-list decode: a
-  // byte-identical re-flood (or a resync record the peer already has) is
-  // recognized from (origin, seq) alone and never re-floods, never
-  // touches the LSDB, never schedules SPF.
-  {
-    auto lit = lsdb_.find(origin);
-    if (lit != lsdb_.end() && seq <= lit->second.seq &&
-        !(lit->second.seq == 0 && seq == 0)) {
-      stats_.inc("lsus_dup_suppressed");
-      return;  // stale or duplicate
-    }
-  }
   std::uint16_t n = r.get_u16();
+  BufReader list(r.get_bytes(4 * std::size_t{n}));
+  if (!r.ok() || origin.is_null() || origin == address_) return std::nullopt;
+  // A re-flood, or a Sync record the peer already has, is recognized from
+  // (origin, seq) alone, before its neighbor list is decoded: it never
+  // re-floods, never touches the LSDB, never schedules SPF.
+  auto lit = lsdb_.find(origin);
+  if (lit != lsdb_.end() && seq <= lit->second.seq &&
+      !(lit->second.seq == 0 && seq == 0)) {
+    stats_.inc("lsus_dup_suppressed");
+    return std::nullopt;
+  }
   std::vector<naming::Address> neighbors;
   neighbors.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(r));
-  if (!r.ok()) return;
-  auto& rec = lsdb_[origin];
+  for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(list));
+  LsuRecord& rec = lsdb_[origin];
   if (use_incremental_spf())
     note_lsu_edge_changes(origin, rec.neighbors, neighbors);
   rec.seq = seq;
   rec.neighbors = std::move(neighbors);
-  flood(m, idx);
-  schedule_spf();
+  return origin;
 }
 
 void Ipcp::schedule_spf() {
@@ -702,7 +731,7 @@ void Ipcp::keepalive_tick() {
   m.obj_name = "/dif/keepalive";
   m.obj_class = kClsKeepAlive;
   bool changed = false;
-  SimTime limit{cfg_.keepalive_interval.ns * cfg_.keepalive_misses};
+  SimTime limit{cfg_.keepalive_interval.ns * kKeepaliveMisses};
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     Port& p = ports_[i];
     if (!p.peer_enrolled || !p.carrier) continue;
@@ -712,7 +741,9 @@ void Ipcp::keepalive_tick() {
       changed = true;
       continue;
     }
-    if (p.alive) send_mgmt(static_cast<relay::PortIndex>(i), m);
+    // A dead port keeps probing: when a path heals with no carrier
+    // signal (an overlay's lower flow), the peer's keepalive revives it.
+    send_mgmt(static_cast<relay::PortIndex>(i), m);
   }
   if (changed) adjacency_changed();
 }
@@ -796,8 +827,7 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (cls == kClsJoinChallenge) {
     // Answer only a challenge we solicited, on the port we are joining
     // through — anything else is a chosen-nonce oracle for our secret.
-    if (enrolled_ || !enrollment_.join_port_ || *enrollment_.join_port_ != idx)
-      return;
+    if (!joining_via(idx)) return;
     std::uint64_t nonce = r.get_u64();
     if (!r.ok()) return;
     rib::RiepMessage resp;
@@ -836,8 +866,7 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (cls == kClsJoinAccept) {
     // Accept only on the port our join is actually in progress on; a
     // spoofed accept must not hand us an address and topology.
-    if (enrolled_ || !enrollment_.join_port_ || *enrollment_.join_port_ != idx)
-      return;
+    if (!joining_via(idx)) return;
     complete_enrollment(idx, m);
     return;
   }
@@ -845,8 +874,7 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (cls == kClsJoinReject) {
     // Same gating as accept/challenge: a spoofed reject from another port
     // must not cancel or redirect the enrollment in progress.
-    if (enrolled_ || !enrollment_.join_port_ || *enrollment_.join_port_ != idx)
-      return;
+    if (!joining_via(idx)) return;
     enrollment_.stats_.inc("join_rejects_received");
     // Re-arming the join timer supersedes the pending timeout retry.
     enrollment_.join_timer_ = sched().schedule_after(kJoinRetryGap, [this, idx] {
@@ -869,44 +897,17 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   acc.op = rib::RiepOp::reply;
   acc.obj_name = "/dif/enrollment/" + joiner_name;
   acc.obj_class = kClsJoinAccept;
-  // Snapshots must fit the PCI's u16 payload length; past the budget we
-  // truncate and count it — floods and dir-sync top the joiner up later.
-  BufWriter dir_w(256);
-  std::uint16_t ndir = 0;
-  // A hierarchical DIF has no replicated directory to hand over — the
-  // joiner resolves through its anchor like everyone else.
-  if (!cfg_.dir_hierarchical) {
-    for (const auto& [app, stamp] : dir_.stamps()) {
-      if (dir_w.size() > kSnapshotBudget / 2) {
-        stats_.inc("snapshot_truncated");
-        break;
-      }
-      put_dir_record(dir_w, app, stamp, dir_.lookup(app));
-      ++ndir;
-    }
-  }
-  // LSDB snapshot: the joiner must see the DIF's topology, not just us —
-  // link-state floods only carry *changes*.
-  BufWriter lsu_w(256);
-  std::uint16_t nlsu = 0;
-  for (const auto& [origin, rec] : lsdb_) {
-    if (lsu_w.size() > kSnapshotBudget / 2) {
-      stats_.inc("snapshot_truncated");
-      break;
-    }
-    put_addr(lsu_w, origin);
-    lsu_w.put_u64(rec.seq);
-    lsu_w.put_u16(static_cast<std::uint16_t>(rec.neighbors.size()));
-    for (auto nb : rec.neighbors) put_addr(lsu_w, nb);
-    ++nlsu;
-  }
-  BufWriter w(16 + dir_w.size() + lsu_w.size());
+  // The accept carries the first Sync chunk, and any further chunks go
+  // ahead of it: the joiner applies every name version the DIF holds
+  // before it publishes its own apps, which must outrank them.
+  std::vector<Bytes> chunks = sync_chunks(assigned);
+  if (chunks.empty()) chunks.push_back(Bytes{0, 0, 0, 0});  // no names, no records
+  for (std::size_t i = 1; i < chunks.size(); ++i)
+    send_mgmt(idx, sync_msg(std::move(chunks[i])));
+  BufWriter w(8 + chunks.front().size());
   put_addr(w, assigned);
   put_addr(w, address_);
-  w.put_u16(ndir);
-  w.put_bytes(BytesView{std::move(dir_w).take()});
-  w.put_u16(nlsu);
-  w.put_bytes(BytesView{std::move(lsu_w).take()});
+  w.put_bytes(BytesView{chunks.front()});
   acc.value = std::move(w).take();
   send_mgmt(idx, acc);
   adjacency_changed();
@@ -917,27 +918,7 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   BufReader r(BytesView{m.value});
   naming::Address assigned = get_addr(r);
   naming::Address member = get_addr(r);
-  std::uint16_t n = r.get_u16();
-  for (std::uint16_t i = 0; i < n; ++i) {
-    DirRecord d = get_dir_record(r);
-    if (r.ok()) (void)dir_.apply(d.app, d.at, d.stamp);
-  }
-  std::uint16_t nlsu = r.get_u16();
-  for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i) {
-    naming::Address origin = get_addr(r);
-    std::uint64_t seq = r.get_u64();
-    std::uint16_t nn = r.get_u16();
-    std::vector<naming::Address> neighbors;
-    neighbors.reserve(nn);
-    for (std::uint16_t k = 0; k < nn; ++k) neighbors.push_back(get_addr(r));
-    if (!r.ok()) break;
-    auto& rec = lsdb_[origin];
-    if (seq > rec.seq) {
-      rec.seq = seq;
-      rec.neighbors = std::move(neighbors);
-    }
-  }
-  if (!r.ok()) return;
+  if (!apply_sync(idx, r)) return;  // the DIF's versions before my apps
   enrollment_.join_timer_.cancel();  // the pending timeout retry
   enrollment_.stats_.inc("joins_completed");
   p.peer = member;
@@ -961,11 +942,7 @@ void Ipcp::leave(bool teardown_flows) {
   enrolled_ = false;
   departed_ = true;
   keepalive_timer_.cancel();
-  for (auto& [app, pr] : pending_resolve_) {
-    (void)app;
-    pr.timer.cancel();
-  }
-  pending_resolve_.clear();
+  pending_resolve_.clear();  // each query's timer dies with it
   dir_cache_.clear();
   dir_interest_.clear();
   spf_seeded_ = false;
@@ -1025,42 +1002,6 @@ void Ipcp::unpublish_app(const naming::AppName& app) {
   if (cfg_.dir_hierarchical && was) cascade_dir_inval(app, *was);
 }
 
-void Ipcp::send_dir_sync(relay::PortIndex idx) {
-  if (!enrolled_ || dir_.stamps().empty()) return;
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/dif/directory";
-  m.obj_class = kClsDirSync;
-  BufWriter body(256);
-  std::uint16_t n = 0;
-  for (const auto& [app, stamp] : dir_.stamps()) {
-    if (body.size() > kSnapshotBudget) {
-      stats_.inc("snapshot_truncated");
-      break;
-    }
-    put_dir_record(body, app, stamp, dir_.lookup(app));
-    ++n;
-  }
-  BufWriter w(4 + body.size());
-  w.put_u16(n);
-  w.put_bytes(BytesView{std::move(body).take()});
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
-}
-
-void Ipcp::handle_dir_sync(relay::PortIndex idx, const rib::RiepMessage& m) {
-  BufReader r(BytesView{m.value});
-  std::uint16_t n = r.get_u16();
-  for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-    DirRecord d = get_dir_record(r);
-    if (!r.ok()) break;
-    if (d.stamp.origin.is_null()) continue;
-    // A record newer than mine is news the flood never brought here, so
-    // the rest of the DIF may lack it too: pass it on as a DirUpd.
-    if (dir_.apply(d.app, d.at, d.stamp)) flood(dir_upd_msg(d.app, d.stamp, d.at), idx);
-  }
-}
-
 bool Ipcp::apply_dir_update(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   DirRecord d = get_dir_record(r);
@@ -1089,28 +1030,80 @@ void Ipcp::handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (apply_dir_update(m) && !cfg_.dir_hierarchical) flood(m, idx);
 }
 
-// A returning adjacency (carrier back while the peer stayed enrolled, or
-// a keepalive reviving a port) missed every flood sent while it was down.
-// Each side replays its state to the other through the ordinary paths:
-// LSDB records as LSUs and the directory as a DirSync. What the peer
-// already holds stops at its (origin, seq) guard or version stamps; what
-// is news floods on from there.
+// ------------------------- state transfer -------------------------
+//
+// A peer met for the first time (hello), admitted (enrollment) or back
+// after an outage (carrier return, keepalive revival) missed every flood
+// sent before. Each side hands the other its state in one Sync: stamped
+// directory names (none under hierarchical naming, which replicates
+// none), then LSDB records. What the receiver already holds stops at its
+// (origin, seq) guard or version stamps; what is news floods on as
+// ordinary LSUs and DirUpds.
 
-bool Ipcp::returning_adjacency(relay::PortIndex idx) const {
+void Ipcp::port_changed(relay::PortIndex idx) {
   const Port& p = ports_[idx];
-  return enrolled_ && usable(p) &&
-         std::find(last_neighbor_set_.begin(), last_neighbor_set_.end(), p.peer) ==
-             last_neighbor_set_.end();
+  bool met = enrolled_ && usable(p) &&
+             std::find(last_neighbor_set_.begin(), last_neighbor_set_.end(), p.peer) ==
+                 last_neighbor_set_.end();
+  adjacency_changed();
+  if (!met) return;
+  for (Bytes& chunk : sync_chunks(p.peer)) send_mgmt(idx, sync_msg(std::move(chunk)));
 }
 
-void Ipcp::resync_adjacency(relay::PortIndex idx) {
-  const naming::Address peer = ports_[idx].peer;
+std::vector<Bytes> Ipcp::sync_chunks(naming::Address peer) const {
+  std::vector<Bytes> chunks;
+  BufWriter dir_w, lsu_w;
+  std::uint16_t ndir = 0, nlsu = 0;
+  // Close the open chunk if it holds records and `next` more bytes would
+  // push it past the budget.
+  auto close_before = [&](std::size_t next) {
+    if (ndir + nlsu == 0 || 4 + dir_w.size() + lsu_w.size() + next <= kSnapshotBudget)
+      return;
+    BufWriter w(4 + dir_w.size() + lsu_w.size());
+    w.put_u16(ndir);
+    w.put_bytes(BytesView{std::move(dir_w).take()});
+    w.put_u16(nlsu);
+    w.put_bytes(BytesView{std::move(lsu_w).take()});
+    chunks.push_back(std::move(w).take());
+    dir_w = BufWriter{};
+    lsu_w = BufWriter{};
+    ndir = nlsu = 0;
+  };
+  if (!cfg_.dir_hierarchical) {
+    for (const auto& [app, stamp] : dir_.stamps()) {
+      close_before(dir_record_size(app));
+      put_dir_record(dir_w, app, stamp, dir_.lookup(app));
+      ++ndir;
+    }
+  }
   // The peer ignores its own record, and mine is re-originated for the
   // new adjacency anyway.
-  for (const auto& [origin, rec] : lsdb_)
-    if (origin != peer && origin != address_)
-      send_mgmt(idx, lsu_msg(origin, rec.seq, rec.neighbors));
-  if (!cfg_.dir_hierarchical) send_dir_sync(idx);
+  for (const auto& [origin, rec] : lsdb_) {
+    if (origin == peer || origin == address_) continue;
+    close_before(lsu_record_size(rec.neighbors));
+    put_lsu_record(lsu_w, origin, rec.seq, rec.neighbors);
+    ++nlsu;
+  }
+  close_before(kSnapshotBudget);  // the last chunk
+  return chunks;
+}
+
+bool Ipcp::apply_sync(relay::PortIndex from, BufReader& r) {
+  std::uint16_t ndir = r.get_u16();
+  for (std::uint16_t i = 0; i < ndir && r.ok(); ++i) {
+    DirRecord d = get_dir_record(r);
+    if (r.ok() && !d.stamp.origin.is_null() && dir_.apply(d.app, d.at, d.stamp))
+      flood(dir_upd_msg(d.app, d.stamp, d.at), from);
+  }
+  std::uint16_t nlsu = r.get_u16();
+  for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i) {
+    if (auto origin = apply_lsu(r)) {
+      const LsuRecord& rec = lsdb_[*origin];
+      flood(lsu_msg(*origin, rec.seq, rec.neighbors), from);
+      schedule_spf();
+    }
+  }
+  return r.ok();
 }
 
 // ---------------- hierarchical directory resolution ----------------

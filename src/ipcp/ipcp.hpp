@@ -303,7 +303,6 @@ class Ipcp {
   void set_port_carrier(relay::PortIndex idx, bool up);
   void port_ready(relay::PortIndex idx);
   [[nodiscard]] bool port_up(relay::PortIndex idx) const;
-  [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
 
   // ---- membership ----
   Result<void> enroll_via(relay::PortIndex idx);
@@ -363,19 +362,24 @@ class Ipcp {
   void handle_bye(relay::PortIndex idx);
   void handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m);
   void handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m);
+  /// Read one link-state record and install it if its (origin, seq) is
+  /// news; returns its origin. nullopt = mine, stale, duplicate or bad.
+  std::optional<naming::Address> apply_lsu(BufReader& r);
   void handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m);
   bool apply_dir_update(const rib::RiepMessage& m);  // true = fresh
-  void send_dir_sync(relay::PortIndex idx);
-  void handle_dir_sync(relay::PortIndex idx, const rib::RiepMessage& m);
   /// Stamp my directory change to `app` (bind here, or remove) and tell
   /// the DIF: a flood, or the resolver chain when hierarchical.
   void publish_dir_change(const naming::AppName& app, bool bound);
-  /// The peer behind `idx` is back after an outage: hand it what the
-  /// floods could not reach it with (LSDB records, directory).
-  void resync_adjacency(relay::PortIndex idx);
-  /// Would `idx` being usable bring back a neighbor the last adjacency
-  /// change had lost? (Not on a first hello: that is bring-up.)
-  [[nodiscard]] bool returning_adjacency(relay::PortIndex idx) const;
+
+  // State transfer (Sync): my directory and LSDB records, handed to a
+  // peer met by hello, by enrollment, or again after an outage.
+  /// Chunks of at most kSnapshotBudget bytes; none when there is nothing.
+  [[nodiscard]] std::vector<Bytes> sync_chunks(naming::Address peer) const;
+  /// Apply one chunk; news floods on (not toward `from`). False = bad.
+  bool apply_sync(relay::PortIndex from, BufReader& r);
+  /// The adjacency on `idx` came or went: re-route, and Sync the peer if
+  /// this makes it my neighbor (new, or back after an outage).
+  void port_changed(relay::PortIndex idx);
 
   // Hierarchical directory plumbing.
   [[nodiscard]] naming::Address resolver_parent() const;
@@ -394,8 +398,14 @@ class Ipcp {
   void handle_dir_inval(const rib::RiepMessage& m);
 
   [[nodiscard]] std::uint64_t auth_token(std::uint64_t nonce) const;
-  void send_hello(relay::PortIndex idx);
+  /// `create` announces this end and repeats until the peer is heard;
+  /// `reply` answers a peer that repeated its create.
+  void send_hello(relay::PortIndex idx, rib::RiepOp op = rib::RiepOp::create);
   void join_attempt(relay::PortIndex idx);
+  /// Am I enrolling through `idx`? Only then do I heed a sponsor there.
+  [[nodiscard]] bool joining_via(relay::PortIndex idx) const {
+    return !enrolled_ && enrollment_.join_port_ == idx;
+  }
   void admit_joiner(relay::PortIndex idx, const std::string& joiner_name);
   void complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m);
 

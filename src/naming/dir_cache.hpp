@@ -33,11 +33,6 @@ class DirCache {
   DirCache() = default;
   DirCache(SimTime ttl, std::size_t capacity) : ttl_(ttl), capacity_(capacity) {}
 
-  void configure(SimTime ttl, std::size_t capacity) {
-    ttl_ = ttl;
-    capacity_ = capacity;
-  }
-
   /// Resolve `app` at sim time `now`. Expired entries count as misses
   /// (and are erased); a hit refreshes nothing — TTL runs from insert.
   std::optional<Address> lookup(const AppName& app, SimTime now) {

@@ -83,13 +83,6 @@ class Directory {
     reverse_.erase(rit);
   }
 
-  /// Names registered at `at`, in registration order. Empty when none.
-  [[nodiscard]] std::vector<AppName> names_at(Address at) const {
-    auto rit = reverse_.find(at.key());
-    if (rit == reverse_.end()) return {};
-    return rit->second;
-  }
-
   [[nodiscard]] std::optional<Address> lookup(const AppName& app) const {
     auto it = entries_.find(app);
     if (it == entries_.end()) return std::nullopt;

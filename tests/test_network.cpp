@@ -1,12 +1,14 @@
 // test_network — end-to-end through the façade: build a DIF over wires,
 // register by name, allocate a flow, move data; relay through a middle
 // system; reject an enrollment with bad credentials; overlay DIFs;
-// directory repair after a partition heals.
+// adjacencies over a lossy wire; the state hand-over (Sync) to a joiner,
+// a late first adjacency and a returning adjacency.
 #include "node/network.hpp"
 
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "test_util.hpp"
 
@@ -176,20 +178,194 @@ static void link_failure_reroutes() {
   CHECK(got == 2);
 }
 
+// --- hellos over a lossy wire: no half-open adjacency ---
+//
+// Two members over a wire that loses half its frames. A side that has
+// heard its peer must still answer the peer's repeated hellos, or the
+// peer retries forever while this side routes into it. After 10 s every
+// seed must have both sides adjacent and both sides quiet.
+
+static void lossy_hellos_converge() {
+  const naming::DifName dif{"d"};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Network net(seed);
+    node::LinkOpts lossy;
+    lossy.gilbert_elliott = sim::GilbertElliottLoss::Params{};
+    lossy.gilbert_elliott->loss_good = 0.5;  // never turns bad: i.i.d. 50%
+    net.add_link("a", "b", lossy);
+    CHECK(net.build_link_dif(spec("d", {"a", "b"})).ok());
+    net.run_for(SimTime::from_sec(10));
+    ipcp::Ipcp* a = net.node("a").ipcp(dif);
+    ipcp::Ipcp* b = net.node("b").ipcp(dif);
+    std::uint64_t hellos_a = a->stats().get("hellos_sent");
+    std::uint64_t hellos_b = b->stats().get("hellos_sent");
+    net.run_for(SimTime::from_sec(5));
+    CHECK(a->stats().get("hellos_sent") == hellos_a);
+    CHECK(b->stats().get("hellos_sent") == hellos_b);
+    CHECK(a->rmt().fib().entry_count() == 1);
+    CHECK(b->rmt().fib().entry_count() == 1);
+  }
+}
+
+// --- a wire that is down when the DIF is built ---
+//
+// The first hellos are lost to the dead carrier, and retries stop while
+// it stays down. When the wire comes up the hellos resume, and the
+// hand-over tells a about the srv that b registered meanwhile.
+
+static void hello_after_carrier_returns() {
+  Network net(51);
+  net.add_link("a", "b");
+  CHECK(net.set_link_state("a", "b", false).ok());
+  CHECK(net.build_link_dif(spec("d", {"a", "b"})).ok());
+  register_sink(net, "b", "srv", "d", [](Bytes&&) {});
+  net.run_for(SimTime::from_sec(1));
+  CHECK(net.set_link_state("a", "b", true).ok());
+  net.run_for(SimTime::from_ms(100));
+  flow::Flow f = open_flow(net, "a", "cli", "srv");
+  CHECK(f.is_open());
+}
+
+// --- a late first adjacency: the hello hands over the LSDB ---
+//
+// x is a founding member of a—b—c's DIF with no wire until the DIF has
+// converged; then it is wired to c. Only the state hand-over can tell x
+// about the a—b edge (b's LSU does not change), so without the LSDB
+// records x has no route to srv on a.
+
+static void late_first_adjacency() {
+  Network net(48);
+  net.add_link("a", "b");
+  net.add_link("b", "c");
+  CHECK(net.build_link_dif(spec("d", {"a", "b", "c", "x"})).ok());
+  register_sink(net, "a", "srv", "d", [](Bytes&&) {});
+  net.run_for(SimTime::from_sec(1));
+  net.add_link("c", "x");
+  CHECK(net.connect_members(naming::DifName{"d"}, "c", "x").ok());
+  net.run_for(SimTime::from_ms(100));
+  flow::Flow f = open_flow(net, "x", "cli", "srv");
+  CHECK(f.is_open());
+}
+
+// --- a joiner receives state larger than one Sync chunk ---
+//
+// b, alone in its DIF, holds 2000 names — about 122 KB of directory
+// records, more than two chunks. j enrolls through b and must learn every
+// name. j also registered `srv` before it had an address; the DIF holds
+// a tombstone for `srv` at version 2, so j must apply the DIF's versions
+// before publishing its own, or its version-1 binding loses everywhere.
+
+static void joiner_gets_whole_state() {
+  Network net(50);
+  net.add_link("b", "j");
+  CHECK(net.build_link_dif(spec("d", {"b"})).ok());
+  const naming::DifName dif{"d"};
+  const naming::AppName srv("srv");
+  constexpr int kNames = 2000;
+  auto name = [](int i) {
+    return naming::AppName("a-service-with-a-forty-byte-long-name-" + std::to_string(i));
+  };
+  for (int i = 0; i < kNames; ++i)
+    CHECK(net.node("b").register_app(name(i), dif, [](flow::Flow) {}).ok());
+  CHECK(net.node("b").register_app(srv, dif, [](flow::Flow) {}).ok());
+  CHECK(net.node("b").ipcp(dif)->fa().unregister_app(srv).ok());
+  net.run_for(SimTime::from_sec(1));
+
+  CHECK(net.attach_via_link(dif, "j", "b").ok());
+  CHECK(net.node("j").register_app(srv, dif, [](flow::Flow) {}).ok());
+  ipcp::Ipcp* j = net.node("j").ipcp(dif);
+  net.run_until([&] { return j->enrolled(); }, SimTime::from_sec(3));
+  net.run_for(SimTime::from_ms(100));
+  CHECK(j->enrolled());
+  CHECK(j->directory().size() == static_cast<std::size_t>(kNames) + 1);
+  CHECK(j->directory().lookup(name(kNames - 1)) ==
+        std::optional<naming::Address>{net.node("b").ipcp(dif)->address()});
+  CHECK(net.node("b").ipcp(dif)->directory().lookup(srv) ==
+        std::optional<naming::Address>{j->address()});
+}
+
+// --- a malformed Sync installs nothing ---
+//
+// a's wire sends b Syncs whose counts promise more than their bytes
+// hold: 65535 names in one byte, and a record of a's (newer than any a
+// sent) listing 65535 neighbors with two present. b must read no further
+// than the bytes (ASan checks that) and install nothing; the same record
+// whole is installed, so b then routes to the neighbor it names.
+
+static void malformed_sync_ignored() {
+  Network net(52);
+  net.add_link("a", "b");
+  CHECK(net.build_link_dif(spec("d", {"a", "b"})).ok());
+  const naming::DifName dif{"d"};
+  ipcp::Ipcp* a = net.node("a").ipcp(dif);
+  ipcp::Ipcp* b = net.node("b").ipcp(dif);
+  auto send = [&](Bytes value) {
+    BufWriter w;  // a RIEP write of class Sync carrying `value`
+    w.put_u8(static_cast<std::uint8_t>(rib::RiepOp::write));
+    w.put_u32(0);
+    w.put_lpstring("/dif/sync");
+    w.put_lpstring("Sync");
+    w.put_lpbytes(BytesView{value});
+    efcp::Pdu pdu;
+    pdu.pci.type = efcp::PduType::mgmt;
+    pdu.pci.src = a->address();
+    pdu.payload = std::move(w).take();
+    auto framed = rib::RiepMessage::decode(pdu.payload.view());
+    CHECK(framed.ok() && framed.value().obj_class == "Sync");
+    CHECK(a->rmt().egress_via(0, std::move(pdu)).ok());
+    net.run_for(SimTime::from_ms(50));
+  };
+  auto record = [&](std::uint16_t claimed) {
+    BufWriter w;
+    w.put_u16(0);  // no names
+    w.put_u16(1);  // one LSDB record
+    w.put_u32(a->address().key());
+    w.put_u64(1000);
+    w.put_u16(claimed);
+    w.put_u32(b->address().key());
+    w.put_u32(naming::Address{1, 9}.key());
+    return std::move(w).take();
+  };
+  send(Bytes{0xFF, 0xFF, 0x00});
+  send(record(0xFFFF));
+  CHECK(b->directory().size() == 0);
+  CHECK(b->rmt().fib().entry_count() == 1);
+  send(record(2));
+  CHECK(b->rmt().fib().entry_count() == 2);
+}
+
 // --- partition repair: a returning adjacency resyncs what it missed ---
 //
 // Star a—r—{b, x} in one flat DIF. The a—r wire is down for 2 s — long
 // past every re-announce — while the far side registers, moves or
 // unregisters `srv`. Once the wire is back, a's directory must equal r's.
+//
+// With `tail` > 0 a chain of that many members hangs behind x, the DIF's
+// RMT queues hold 8 PDUs and the a—r wire queues 4 frames: r holds more
+// LSDB records than its egress toward a can queue, so the hand-over must
+// not cost one PDU per record.
 
 enum class Partitioned { register_app, move_app, unregister_app };
 
-static void partition_repair(Partitioned what) {
+static void partition_repair(Partitioned what, int tail = 0) {
   Network net(47);
-  net.add_link("a", "r");
+  node::DifSpec s = spec("d", {"a", "r", "b", "x"});
+  node::LinkOpts ar;
+  if (tail > 0) {
+    s.cfg.rmt_queue_pdus = 8;
+    ar.queue_pkts = 4;
+  }
+  net.add_link("a", "r", ar);
   net.add_link("r", "b");
   net.add_link("r", "x");
-  CHECK(net.build_link_dif(spec("d", {"a", "r", "b", "x"})).ok());
+  std::string prev = "x";
+  for (int i = 1; i <= tail; ++i) {
+    std::string t = "t" + std::to_string(i);
+    net.add_link(prev, t);
+    s.members.push_back(t);
+    prev = t;
+  }
+  CHECK(net.build_link_dif(s).ok());
   const naming::DifName dif{"d"};
   const naming::AppName srv("srv");
   std::string accepted_at;
@@ -231,6 +407,44 @@ static void partition_repair(Partitioned what) {
   flow::Flow f = open_flow(net, "a", "cli", "srv");
   CHECK(f.is_open());
   CHECK(accepted_at == (what == Partitioned::move_app ? "x" : "b"));
+  if (tail > 0) CHECK(net.sum_dif_counter(dif, "rmt_drops") == 0);
+}
+
+// --- keepalive revival: a path heals with no carrier signal ---
+//
+// Overlay DIF `top` between a and b rides an unreliable flow of the
+// a—m—b DIF `low`. Cutting a—m breaks the lower path but closes no flow,
+// so top sees the outage only as keepalive silence, at both ends. b
+// registers srv in top while the path is down; when it heals, the
+// keepalives each dead end keeps sending revive the adjacency, and the
+// hand-over gives a the registration.
+
+static void keepalive_revival() {
+  Network net(49);
+  net.add_link("a", "m");
+  net.add_link("m", "b");
+  CHECK(net.build_link_dif(spec("low", {"a", "m", "b"})).ok());
+  node::DifSpec top = spec("top", {"a", "b"});
+  top.cfg.keepalive_enabled = true;
+  CHECK(net.build_overlay_dif(top, {{"a", "b", naming::DifName{"low"}, {}}}).ok());
+  const naming::DifName dif{"top"};
+  const naming::AppName srv("srv");
+  ipcp::Ipcp* a = net.node("a").ipcp(dif);
+  ipcp::Ipcp* b = net.node("b").ipcp(dif);
+
+  CHECK(net.set_link_state("a", "m", false).ok());
+  net.run_for(SimTime::from_ms(500));
+  CHECK(a->stats().get("keepalive_expired") == 1);
+  CHECK(b->stats().get("keepalive_expired") == 1);
+  register_sink(net, "b", "srv", "top", [](Bytes&&) {});
+  net.run_for(SimTime::from_sec(1));
+  CHECK(!a->directory().lookup(srv).has_value());
+
+  CHECK(net.set_link_state("a", "m", true).ok());
+  net.run_for(SimTime::from_ms(500));
+  CHECK(a->directory().lookup(srv) == std::optional<naming::Address>{b->address()});
+  flow::Flow f = open_flow(net, "a", "cli", "srv");
+  CHECK(f.is_open());
 }
 
 int main() {
@@ -242,5 +456,12 @@ int main() {
   partition_repair(Partitioned::register_app);
   partition_repair(Partitioned::move_app);
   partition_repair(Partitioned::unregister_app);
+  partition_repair(Partitioned::register_app, /*tail=*/30);
+  lossy_hellos_converge();
+  hello_after_carrier_returns();
+  late_first_adjacency();
+  joiner_gets_whole_state();
+  malformed_sync_ignored();
+  keepalive_revival();
   return TEST_MAIN_RESULT();
 }
