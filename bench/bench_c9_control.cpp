@@ -3,12 +3,14 @@
 // ring) is driven through a seeded churn script — app mobility plus
 // link flaps — under three control-plane arrangements:
 //
-//   flat   — every registration/unregistration floods a DirUpd to all N
-//            members, every LSU floods everywhere and triggers a full
-//            Dijkstra at every member: cost ~ O(N) per event. A link
-//            that comes back resyncs its two ends: each hands the other
-//            its LSDB records and directory in one Sync (~22 B a record,
-//            one PDU up to ~2,500 records).
+//   flat   — every registration, unregistration and LSU floods to all
+//            N members as a Sync of that one record (there are no DirUpd
+//            floods), and every LSU triggers a full Dijkstra at every
+//            member: cost ~ O(N) per event. A link that comes back
+//            resyncs its two ends: each hands the other its directory
+//            and LSDB records in one Sync (~22 B a record, one PDU up to
+//            ~2,500 records), and a member floods what was news on as
+//            one Sync, never one message per record.
 //   inc    — flat flooding plus incremental_spf: SPF repairs only the
 //            affected subtrees (or skips entirely when a change touches
 //            no shortest path). The bytes on the wire are flat's.
@@ -20,9 +22,9 @@
 // Metrics per (size, arrangement): bring-up control KB, control bytes
 // per churn event, directory convergence after the last move, name
 // resolution latency p50/p99 (sim time, cold misses and warm cache
-// hits mixed), SPF runs per churn event, and duplicate LSUs/DirUpds
-// suppressed by the LSU (origin, seq) guard and the directory's version
-// stamps.
+// hits mixed), SPF runs per churn event, and duplicate LSDB and
+// directory records suppressed by the (origin, seq) guard and the
+// directory's version stamps.
 //
 // The flap window is a gate: the bench aborts if any member's RMT
 // tail-drops a PDU during it (a resync outgrowing a port's egress queue).
@@ -352,10 +354,12 @@ int main() {
   }
   t.print("C9 control-plane economy under churn");
   std::printf(
-      "\nflat floods every directory change to all N members and every\n"
-      "member re-derives all N routes per LSU; a returning link resyncs\n"
-      "its two ends (one Sync of LSDB records and directory each), part\n"
-      "of flap B/evt; no flap may cost an RMT drop.\n"
+      "\nflat floods every directory change to all N members as a Sync of\n"
+      "one record (no DirUpd floods) and every member re-derives all N\n"
+      "routes per LSU; a returning link resyncs its two ends (one Sync of\n"
+      "directory and LSDB records each, whose news floods on as one Sync,\n"
+      "not one message per record), part of flap B/evt; no flap may cost\n"
+      "an RMT drop.\n"
       "inc floods the same bytes but repairs only the SPF subtree behind\n"
       "the changed edge — its win is SPF vtx/evt, ~O(subtree) instead of\n"
       "O(N) per member per flap. hier additionally confines\n"

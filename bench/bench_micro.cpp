@@ -215,9 +215,8 @@ BENCHMARK(BM_RelayForward);
 static void BM_RiepRoundTrip(benchmark::State& state) {
   rib::RiepMessage m;
   m.op = rib::RiepOp::write;
+  m.obj_class = rib::ObjClass::sync;
   m.invoke_id = 42;
-  m.obj_name = "/routing/lsdb/1.7";
-  m.obj_class = "LSU";
   m.value.assign(128, 0x55);
   for (auto _ : state) {
     Bytes wire = m.encode();

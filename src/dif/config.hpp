@@ -48,12 +48,6 @@ struct DifConfig {
   bool rmt_content_store_enabled = false;
   std::size_t rmt_content_store_objects = 1024;  // live entries, no expiry
 
-  /// Per-flow application receive queue depth (SDUs). The flow allocator
-  /// delivers into this bounded queue and the app pulls with Flow::read;
-  /// overflow is dropped and counted (app_rx_dropped) — the reader, not
-  /// the network, is the one falling behind.
-  std::size_t app_rx_queue_sdus = 64;
-
   /// Route on region prefixes instead of full addresses (one FIB entry
   /// per foreign region).
   bool aggregate_regions = false;
@@ -61,14 +55,13 @@ struct DifConfig {
   /// --- Control plane at scale (both default off: flat flooding) ---
 
   /// Hierarchical directory resolution. Registrations go *only* to the
-  /// member's region anchor (address {region, dir_anchor_node}) and the
-  /// DIF root (dir_root); everyone else resolves on miss by querying up
+  /// member's region anchor (address {region, 1}) and the DIF root
+  /// (dir_root); everyone else resolves on miss by querying up
   /// (member -> anchor -> root), caching answers with a TTL, and
   /// honoring unregister/mobility invalidation floods. Replaces the
   /// flat mode's full directory flood.
   bool dir_hierarchical = false;
   naming::Address dir_root{};       // null = the anchor is the top
-  std::uint16_t dir_anchor_node = 1;  // anchor = {my region, this node}
   SimTime dir_cache_ttl = SimTime::from_ms(2000);  // cache of 4096 names
 
   /// Incremental SPF: repair the previous shortest-path tree from the

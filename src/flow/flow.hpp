@@ -59,8 +59,11 @@ struct FlowShared : std::enable_shared_from_this<FlowShared> {
   FlowInfo info;
   Error err;  // why allocation failed / the flow closed (none = clean)
 
-  std::deque<Bytes> rx;  // bounded receive queue (cap from the DIF config)
-  std::size_t rx_cap = 64;
+  /// Bounded receive queue: the flow allocator delivers into it and the
+  /// app pulls with Flow::read; overflow is dropped and counted
+  /// (app_rx_dropped) — the reader, not the network, is falling behind.
+  std::deque<Bytes> rx;
+  static constexpr std::size_t rx_cap = 64;
 
   /// The hosting node's stats: app-edge misuse counters live per node.
   std::shared_ptr<Stats> node_stats;

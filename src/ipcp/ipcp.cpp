@@ -5,7 +5,6 @@
 #include "ipcp/ipcp.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "content/protocol.hpp"
 
@@ -13,26 +12,8 @@ namespace rina::ipcp {
 
 namespace {
 
-// Management object classes: one RIEP dispatch table instead of a zoo of
-// protocols.
-constexpr const char* kClsHello = "Hello";
-constexpr const char* kClsKeepAlive = "KeepAlive";
-constexpr const char* kClsJoinReq = "JoinReq";
-constexpr const char* kClsJoinChallenge = "JoinChallenge";
-constexpr const char* kClsJoinResp = "JoinResp";
-constexpr const char* kClsJoinAccept = "JoinAccept";
-constexpr const char* kClsJoinReject = "JoinReject";
-constexpr const char* kClsBye = "Bye";
-constexpr const char* kClsLsu = "LSU";
-constexpr const char* kClsDirUpd = "DirUpd";
-constexpr const char* kClsSync = "Sync";                // state hand-over
-constexpr const char* kClsDirRead = "DirRead";          // query up the chain
-constexpr const char* kClsDirReadReply = "DirReadReply";
-constexpr const char* kClsDirInval = "DirInval";        // cache invalidation
-constexpr const char* kClsFlowReq = "FlowReq";
-constexpr const char* kClsFlowResp = "FlowResp";
-constexpr const char* kClsFlowRelease = "FlowRelease";
-constexpr const char* kClsFlowReleaseAck = "FlowReleaseAck";
+using rib::ObjClass;
+using rib::RiepOp;
 
 constexpr SimTime kHelloRetry = SimTime::from_ms(200);
 constexpr SimTime kJoinTimeout = SimTime::from_ms(600);
@@ -91,28 +72,6 @@ Packet mgmt_payload(const rib::RiepMessage& m) {
   return Packet::with_headroom(kDefaultHeadroom, BytesView{raw});
 }
 
-/// The one keepalive message every node sends, pre-encoded. Keepalives
-/// carry no per-node state, so at scale re-running the RIEP encoder per
-/// port per tick is pure waste; both send_mgmt and handle_mgmt key off
-/// these exact bytes.
-const Bytes& keepalive_wire() {
-  static const Bytes wire = [] {
-    rib::RiepMessage m;
-    m.op = rib::RiepOp::write;
-    m.obj_name = "/dif/keepalive";
-    m.obj_class = kClsKeepAlive;
-    return m.encode();
-  }();
-  return wire;
-}
-
-/// True iff `m` is exactly the canonical keepalive keepalive_wire()
-/// encodes — the only shape keepalive_tick ever sends.
-bool is_canonical_keepalive(const rib::RiepMessage& m) {
-  return m.obj_class == kClsKeepAlive && m.op == rib::RiepOp::write &&
-         m.invoke_id == 0 && m.obj_name == "/dif/keepalive" && m.value.empty();
-}
-
 naming::Address get_addr(BufReader& r) {
   std::uint32_t k = r.get_u32();
   return naming::Address{static_cast<std::uint16_t>(k >> 16),
@@ -131,8 +90,8 @@ naming::AppName get_app(BufReader& r) {
   return a;
 }
 
-/// One link-state record: an LSU's value, and each LSDB entry of a
-/// Sync. Layout: origin | u64 seq | u16 n | n neighbor addresses.
+/// One link-state record, as a Sync carries it. Layout: origin | u64 seq
+/// | u16 n | n neighbor addresses.
 std::size_t lsu_record_size(const std::vector<naming::Address>& neighbors) {
   return 14 + 4 * neighbors.size();
 }
@@ -145,22 +104,9 @@ void put_lsu_record(BufWriter& w, naming::Address origin, std::uint64_t seq,
   for (auto n : neighbors) put_addr(w, n);
 }
 
-/// One link-state record as the LSU that floods it.
-rib::RiepMessage lsu_msg(naming::Address origin, std::uint64_t seq,
-                         const std::vector<naming::Address>& neighbors) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/routing/lsu/" + origin.to_string();
-  m.obj_class = kClsLsu;
-  BufWriter w(lsu_record_size(neighbors));
-  put_lsu_record(w, origin, seq, neighbors);
-  m.value = std::move(w).take();
-  return m;
-}
-
-/// One directory record: a DirUpd's value, and each directory entry of
-/// a Sync. Layout: origin | u64 version | u8 op (1 = bound, 2 = removed)
-/// | app | bound address. `at` is nullopt for a removal (a tombstone).
+/// One directory record: a Sync's directory entry, and a DirUpd's value.
+/// Layout: origin | u64 version | u8 op (1 = bound, 2 = removed) | app |
+/// bound address. `at` is nullopt for a removal (a tombstone).
 struct DirRecord {
   naming::AppName app;
   naming::Directory::Stamp stamp;
@@ -191,28 +137,69 @@ DirRecord get_dir_record(BufReader& r) {
   return d;
 }
 
-rib::RiepMessage dir_upd_msg(const naming::AppName& app, naming::Directory::Stamp s,
-                             std::optional<naming::Address> at) {
-  rib::RiepMessage m;
-  m.op = at ? rib::RiepOp::create : rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirUpd;
-  BufWriter w(32);
-  put_dir_record(w, app, s, at);
-  m.value = std::move(w).take();
-  return m;
+rib::RiepMessage sync_msg(Bytes chunk) {
+  return {RiepOp::write, ObjClass::sync, 0, std::move(chunk)};
 }
 
-/// One chunk of a member's state: u16 ndir | ndir directory records |
-/// u16 nlsu | nlsu LSDB records.
-rib::RiepMessage sync_msg(Bytes chunk) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/dif/sync";
-  m.obj_class = kClsSync;
-  m.value = std::move(chunk);
-  return m;
+/// A Sync carrying LSDB records is a link-state message: it counts as
+/// lsus_flooded when sent and lsus_received when received.
+bool carries_lsdb(const rib::RiepMessage& m) {
+  return m.obj_class == ObjClass::sync && m.value.size() >= 4 &&
+         (m.value[2] | m.value[3]) != 0;
 }
+
+/// Builds every Sync: a flood of one record, a hand-over, the news of a
+/// partly stale chunk. Records go into chunks of at most kSnapshotBudget
+/// bytes, each laid out u16 ndir | u16 nlsu | ndir directory records |
+/// nlsu LSDB records; a directory record after LSDB records starts a
+/// new chunk.
+class SyncPacker {
+ public:
+  void add_dir(const naming::AppName& app, naming::Directory::Stamp s,
+               std::optional<naming::Address> at) {
+    if (nlsu_ != 0) close();
+    fit(dir_record_size(app));
+    put_dir_record(w_, app, s, at);
+    ++ndir_;
+  }
+  void add_lsu(naming::Address origin, std::uint64_t seq,
+               const std::vector<naming::Address>& neighbors) {
+    fit(lsu_record_size(neighbors));
+    put_lsu_record(w_, origin, seq, neighbors);
+    ++nlsu_;
+  }
+  /// The chunks; none when no record was added.
+  std::vector<Bytes> take() && {
+    close();
+    return std::move(chunks_);
+  }
+
+ private:
+  /// Make room for a record of `next` bytes: close the open chunk if the
+  /// record would push it past the budget (a chunk always takes its
+  /// first record), and open a chunk, counts first, if none is open.
+  void fit(std::size_t next) {
+    if (ndir_ + nlsu_ != 0 && w_.size() + next > kSnapshotBudget) close();
+    if (ndir_ + nlsu_ == 0) {
+      w_ = BufWriter(4 + next);
+      w_.put_u32(0);  // room for the counts
+    }
+  }
+  void close() {
+    if (ndir_ + nlsu_ == 0) return;
+    Bytes chunk = std::move(w_).take();
+    if (chunk.size() >= 4) {  // a latched writer yields no chunk
+      store_be16(chunk.data(), ndir_);
+      store_be16(chunk.data() + 2, nlsu_);
+      chunks_.push_back(std::move(chunk));
+    }
+    ndir_ = nlsu_ = 0;
+  }
+
+  BufWriter w_;
+  std::uint16_t ndir_ = 0, nlsu_ = 0;
+  std::vector<Bytes> chunks_;
+};
 
 }  // namespace
 
@@ -289,16 +276,11 @@ void Ipcp::send_hello(relay::PortIndex idx, rib::RiepOp op) {
   if (!enrolled_) return;
   Port& p = ports_[idx];
   p.hello_sent = true;
-  rib::RiepMessage m;
-  m.op = op;
-  m.obj_name = "/dif/members/" + host_.node_name();
-  m.obj_class = kClsHello;
   BufWriter w(32);
   put_addr(w, address_);
   w.put_u64(auth_token(kHelloNonce));
   w.put_lpstring(host_.node_name());
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
+  send_mgmt(idx, {op, ObjClass::hello, 0, std::move(w).take()});
   // A lost hello would strand the adjacency half-open; repeat until the
   // peer is heard from. The timer lives in the port, so it dies with us.
   p.hello_timer = sched().schedule_after(kHelloRetry, [this, idx] {
@@ -377,24 +359,18 @@ void Ipcp::deliver_local(efcp::Pdu&& pdu) {
       return;
     }
     const rib::RiepMessage& msg = m.value();
-    if (msg.obj_class == kClsFlowReq) {
-      fa_.on_flow_req(pdu.pci, msg);
-    } else if (msg.obj_class == kClsFlowResp) {
-      fa_.on_flow_resp(pdu.pci, msg);
-    } else if (msg.obj_class == kClsFlowRelease) {
-      fa_.on_flow_release(pdu.pci, msg);
-    } else if (msg.obj_class == kClsFlowReleaseAck) {
-      fa_.on_flow_release_ack(pdu.pci, msg);
-    } else if (msg.obj_class == kClsDirUpd) {
-      // A targeted registration update (hierarchical mode): apply to the
-      // local directory, never re-flood.
-      (void)apply_dir_update(msg);
-    } else if (msg.obj_class == kClsDirRead) {
-      handle_dir_read(pdu.pci, msg);
-    } else if (msg.obj_class == kClsDirReadReply) {
-      handle_dir_read_reply(msg);
-    } else if (msg.obj_class == kClsDirInval) {
-      handle_dir_inval(msg);
+    switch (msg.obj_class) {
+      case ObjClass::flow_req: fa_.on_flow_req(pdu.pci, msg); break;
+      case ObjClass::flow_resp: fa_.on_flow_resp(pdu.pci, msg); break;
+      case ObjClass::flow_release: fa_.on_flow_release(pdu.pci, msg); break;
+      case ObjClass::flow_release_ack: fa_.on_flow_release_ack(pdu.pci, msg); break;
+      case ObjClass::dir_upd:  // flat DIFs replicate names by Sync only
+        if (cfg_.dir_hierarchical) apply_dir_update(msg);
+        break;
+      case ObjClass::dir_read: handle_dir_read(msg); break;
+      case ObjClass::dir_read_reply: handle_dir_read_reply(msg); break;
+      case ObjClass::dir_inval: handle_dir_inval(msg); break;
+      default: break;
     }
     return;
   }
@@ -455,24 +431,21 @@ bool Ipcp::content_store_filter(efcp::Pdu& pdu) {
 
 void Ipcp::send_mgmt(relay::PortIndex idx, const rib::RiepMessage& m) {
   if (idx >= ports_.size()) return;
-  if (m.obj_class == kClsHello) {
+  if (m.obj_class == ObjClass::hello) {
     ++*c_hellos_sent_;
-  } else if (m.obj_class == kClsKeepAlive) {
+  } else if (m.obj_class == ObjClass::keepalive) {
     ++*c_keepalives_sent_;
-  } else if (m.obj_class == kClsLsu) {
+  } else if (carries_lsdb(m)) {
     ++*c_lsus_flooded_;
   } else {
     ++*c_riep_sent_;
-    if (m.obj_class == kClsJoinReq) enrollment_.stats_.inc("join_requests_sent");
+    if (m.obj_class == ObjClass::join_req) enrollment_.stats_.inc("join_requests_sent");
   }
   efcp::Pdu pdu;
   pdu.pci.type = efcp::PduType::mgmt;
   pdu.pci.src = address_;
   pdu.pci.dest = naming::Address{};  // port-local
-  pdu.payload = is_canonical_keepalive(m)
-                    ? Packet::with_headroom(kDefaultHeadroom,
-                                            BytesView{keepalive_wire()})
-                    : mgmt_payload(m);
+  pdu.payload = mgmt_payload(m);
   *c_mgmt_bytes_ += pdu.payload.view().size();
   rmt_.egress(idx, std::move(pdu));
 }
@@ -489,53 +462,41 @@ void Ipcp::send_routed_mgmt(naming::Address dest, const rib::RiepMessage& m) {
 }
 
 void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
-  // Keepalives are the one mgmt message sent per port per tick forever;
-  // a byte-compare against the canonical encoding skips the full RIEP
-  // decode. Semantics match the slow path below exactly: keepalive is
-  // none of the pre-enrollment classes, so the membership gate applies.
-  {
-    BytesView v = pdu.payload.view();
-    const Bytes& ka = keepalive_wire();
-    if (v.size() == ka.size() &&
-        std::memcmp(v.data(), ka.data(), v.size()) == 0) {
-      if (!ports_[idx].peer_enrolled) {
-        rmt_.stats_.inc("drop_unenrolled_port");
-      } else {
-        handle_keepalive(idx);
-      }
-      return;
-    }
-  }
   auto decoded = rib::RiepMessage::decode(pdu.payload.view());
   if (!decoded.ok()) {
     rmt_.stats_.inc("drop_decode");
     return;
   }
   const rib::RiepMessage& m = decoded.value();
-  const std::string& cls = m.obj_class;
   Port& p = ports_[idx];
 
-  if (cls == kClsHello) {
-    handle_hello(idx, m);
-  } else if (cls == kClsJoinReq || cls == kClsJoinChallenge ||
-             cls == kClsJoinResp || cls == kClsJoinAccept ||
-             cls == kClsJoinReject) {
-    handle_join_msg(idx, m);
-  } else if (cls == kClsSync && (p.peer_enrolled || joining_via(idx))) {
-    // From a member, or from my sponsor ahead of its JoinAccept.
-    BufReader r(BytesView{m.value});
-    (void)apply_sync(idx, r);
-  } else if (!p.peer_enrolled) {
+  switch (m.obj_class) {
+    case ObjClass::hello:
+      handle_hello(idx, m);
+      return;
+    case ObjClass::join_req:
+    case ObjClass::join_challenge:
+    case ObjClass::join_resp:
+    case ObjClass::join_accept:
+    case ObjClass::join_reject:
+      handle_join_msg(idx, m);
+      return;
+    case ObjClass::sync:
+      // From a member, or from my sponsor ahead of its JoinAccept.
+      if (!p.peer_enrolled && !joining_via(idx)) break;
+      if (carries_lsdb(m)) stats_.inc("lsus_received");
+      (void)apply_sync(idx, m);
+      return;
+    default:
+      break;
+  }
+  if (!p.peer_enrolled) {
     // Non-members only get to talk enrollment.
     rmt_.stats_.inc("drop_unenrolled_port");
-  } else if (cls == kClsKeepAlive) {
+  } else if (m.obj_class == ObjClass::keepalive) {
     handle_keepalive(idx);
-  } else if (cls == kClsBye) {
+  } else if (m.obj_class == ObjClass::bye) {
     handle_bye(idx);
-  } else if (cls == kClsLsu) {
-    handle_lsu(idx, m);
-  } else if (cls == kClsDirUpd) {
-    handle_dir_update(idx, m);
   }
 }
 
@@ -628,7 +589,9 @@ void Ipcp::originate_lsu() {
   LsuRecord& rec = lsdb_[address_];
   rec = LsuRecord{lsu_seq_, std::move(neighbors)};
   stats_.inc("lsus_originated");
-  flood(lsu_msg(address_, rec.seq, rec.neighbors), std::nullopt);
+  SyncPacker pk;
+  pk.add_lsu(address_, rec.seq, rec.neighbors);
+  flood(std::move(pk).take(), std::nullopt);
   schedule_spf();
 }
 
@@ -640,12 +603,8 @@ void Ipcp::flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> exce
   }
 }
 
-void Ipcp::handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m) {
-  stats_.inc("lsus_received");
-  BufReader r(BytesView{m.value});
-  if (!apply_lsu(r)) return;
-  flood(m, idx);
-  schedule_spf();
+void Ipcp::flood(std::vector<Bytes> chunks, std::optional<relay::PortIndex> except) {
+  for (Bytes& chunk : chunks) flood(sync_msg(std::move(chunk)), except);
 }
 
 std::optional<naming::Address> Ipcp::apply_lsu(BufReader& r) {
@@ -726,10 +685,7 @@ void Ipcp::run_spf() {
 // --------------------------- keepalives ---------------------------
 
 void Ipcp::keepalive_tick() {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::write;
-  m.obj_name = "/dif/keepalive";
-  m.obj_class = kClsKeepAlive;
+  const rib::RiepMessage m{RiepOp::write, ObjClass::keepalive};
   bool changed = false;
   SimTime limit{cfg_.keepalive_interval.ns * kKeepaliveMisses};
   for (std::size_t i = 0; i < ports_.size(); ++i) {
@@ -767,15 +723,10 @@ void Ipcp::join_attempt(relay::PortIndex idx) {
     return;
   }
   ++enrollment_.attempts_;
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::start;
-  m.obj_name = "/dif/enrollment/" + host_.node_name();
-  m.obj_class = kClsJoinReq;
   BufWriter w(32);
   w.put_lpstring(host_.node_name());
   w.put_lpstring(cfg_.auth_policy == "password" ? cfg_.auth_secret : "");
-  m.value = std::move(w).take();
-  send_mgmt(idx, m);
+  send_mgmt(idx, {RiepOp::start, ObjClass::join_req, 0, std::move(w).take()});
 
   enrollment_.join_timer_ = sched().schedule_after(kJoinTimeout, [this, idx] {
     if (!enrolled_) join_attempt(idx);
@@ -784,107 +735,90 @@ void Ipcp::join_attempt(relay::PortIndex idx) {
 
 void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
   Port& p = ports_[idx];
-  const std::string& cls = m.obj_class;
   BufReader r(BytesView{m.value});
+  auto reject = [&](const char* why) {
+    enrollment_.stats_.inc("joins_rejected");
+    send_mgmt(idx, {RiepOp::reply, ObjClass::join_reject, 0, to_bytes(why)});
+  };
 
-  if (cls == kClsJoinReq) {
-    if (!enrolled_) return;  // only members admit
-    enrollment_.stats_.inc("join_requests_received");
-    std::string joiner = r.get_lpstring();
-    std::string offered_secret = r.get_lpstring();
-    if (!r.ok()) return;
-    if (cfg_.auth_policy == "none") {
-      admit_joiner(idx, joiner);
-    } else if (cfg_.auth_policy == "password") {
-      if (offered_secret == cfg_.auth_secret) {
-        admit_joiner(idx, joiner);
-      } else {
-        enrollment_.stats_.inc("joins_rejected");
-        rib::RiepMessage rej;
-        rej.op = rib::RiepOp::reply;
-        rej.obj_name = m.obj_name;
-        rej.obj_class = kClsJoinReject;
-        rej.value = to_bytes("bad credentials");
-        send_mgmt(idx, rej);
+  switch (m.obj_class) {
+    case ObjClass::join_req: {
+      if (!enrolled_) return;  // only members admit
+      enrollment_.stats_.inc("join_requests_received");
+      (void)r.get_lpstring();  // the joiner's node name
+      std::string offered_secret = r.get_lpstring();
+      if (!r.ok()) return;
+      if (cfg_.auth_policy == "none") {
+        admit_joiner(idx);
+      } else if (cfg_.auth_policy == "password") {
+        if (offered_secret == cfg_.auth_secret) {
+          admit_joiner(idx);
+        } else {
+          reject("bad credentials");
+        }
+      } else {  // psk-challenge
+        std::uint64_t nonce = splitmix64(++enrollment_.nonce_counter_ ^
+                                         (static_cast<std::uint64_t>(dif_id_) << 32) ^
+                                         address_.key());
+        p.join_nonce = nonce;
+        BufWriter w(8);
+        w.put_u64(nonce);
+        send_mgmt(idx, {RiepOp::reply, ObjClass::join_challenge, 0, std::move(w).take()});
       }
-    } else {  // psk-challenge
-      std::uint64_t nonce = splitmix64(++enrollment_.nonce_counter_ ^
-                                       (static_cast<std::uint64_t>(dif_id_) << 32) ^
-                                       address_.key());
-      p.join_nonce = nonce;
-      rib::RiepMessage ch;
-      ch.op = rib::RiepOp::reply;
-      ch.obj_name = m.obj_name;
-      ch.obj_class = kClsJoinChallenge;
-      BufWriter w(8);
-      w.put_u64(nonce);
-      ch.value = std::move(w).take();
-      send_mgmt(idx, ch);
+      return;
     }
-    return;
-  }
 
-  if (cls == kClsJoinChallenge) {
-    // Answer only a challenge we solicited, on the port we are joining
-    // through — anything else is a chosen-nonce oracle for our secret.
-    if (!joining_via(idx)) return;
-    std::uint64_t nonce = r.get_u64();
-    if (!r.ok()) return;
-    rib::RiepMessage resp;
-    resp.op = rib::RiepOp::reply;
-    resp.obj_name = m.obj_name;
-    resp.obj_class = kClsJoinResp;
-    BufWriter w(32);
-    w.put_lpstring(host_.node_name());
-    w.put_u64(auth_token(nonce));
-    resp.value = std::move(w).take();
-    send_mgmt(idx, resp);
-    return;
-  }
-
-  if (cls == kClsJoinResp) {
-    if (!enrolled_ || !p.join_nonce) return;
-    std::string joiner = r.get_lpstring();
-    std::uint64_t proof = r.get_u64();
-    if (!r.ok()) return;
-    std::uint64_t expect = auth_token(*p.join_nonce);
-    p.join_nonce.reset();
-    if (proof == expect) {
-      admit_joiner(idx, joiner);
-    } else {
-      enrollment_.stats_.inc("joins_rejected");
-      rib::RiepMessage rej;
-      rej.op = rib::RiepOp::reply;
-      rej.obj_name = m.obj_name;
-      rej.obj_class = kClsJoinReject;
-      rej.value = to_bytes("challenge failed");
-      send_mgmt(idx, rej);
+    case ObjClass::join_challenge: {
+      // Answer only a challenge we solicited, on the port we are joining
+      // through — anything else is a chosen-nonce oracle for our secret.
+      if (!joining_via(idx)) return;
+      std::uint64_t nonce = r.get_u64();
+      if (!r.ok()) return;
+      BufWriter w(32);
+      w.put_lpstring(host_.node_name());
+      w.put_u64(auth_token(nonce));
+      send_mgmt(idx, {RiepOp::reply, ObjClass::join_resp, 0, std::move(w).take()});
+      return;
     }
-    return;
-  }
 
-  if (cls == kClsJoinAccept) {
-    // Accept only on the port our join is actually in progress on; a
-    // spoofed accept must not hand us an address and topology.
-    if (!joining_via(idx)) return;
-    complete_enrollment(idx, m);
-    return;
-  }
+    case ObjClass::join_resp: {
+      if (!enrolled_ || !p.join_nonce) return;
+      (void)r.get_lpstring();  // the joiner's node name
+      std::uint64_t proof = r.get_u64();
+      if (!r.ok()) return;
+      std::uint64_t expect = auth_token(*p.join_nonce);
+      p.join_nonce.reset();
+      if (proof == expect) {
+        admit_joiner(idx);
+      } else {
+        reject("challenge failed");
+      }
+      return;
+    }
 
-  if (cls == kClsJoinReject) {
-    // Same gating as accept/challenge: a spoofed reject from another port
-    // must not cancel or redirect the enrollment in progress.
-    if (!joining_via(idx)) return;
-    enrollment_.stats_.inc("join_rejects_received");
-    // Re-arming the join timer supersedes the pending timeout retry.
-    enrollment_.join_timer_ = sched().schedule_after(kJoinRetryGap, [this, idx] {
-      if (!enrolled_) join_attempt(idx);
-    });
-    return;
+    case ObjClass::join_accept:
+      // Accept only on the port our join is actually in progress on; a
+      // spoofed accept must not hand us an address and topology.
+      if (joining_via(idx)) complete_enrollment(idx, m);
+      return;
+
+    case ObjClass::join_reject:
+      // Same gating as accept/challenge: a spoofed reject from another port
+      // must not cancel or redirect the enrollment in progress.
+      if (!joining_via(idx)) return;
+      enrollment_.stats_.inc("join_rejects_received");
+      // Re-arming the join timer supersedes the pending timeout retry.
+      enrollment_.join_timer_ = sched().schedule_after(kJoinRetryGap, [this, idx] {
+        if (!enrolled_) join_attempt(idx);
+      });
+      return;
+
+    default:
+      return;
   }
 }
 
-void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
+void Ipcp::admit_joiner(relay::PortIndex idx) {
   Port& p = ports_[idx];
   naming::Address assigned = host_.allocate_dif_address(cfg_.name);
   enrollment_.stats_.inc("joins_accepted");
@@ -893,10 +827,6 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   p.peer_enrolled = true;
   p.alive = true;
 
-  rib::RiepMessage acc;
-  acc.op = rib::RiepOp::reply;
-  acc.obj_name = "/dif/enrollment/" + joiner_name;
-  acc.obj_class = kClsJoinAccept;
   // The accept carries the first Sync chunk, and any further chunks go
   // ahead of it: the joiner applies every name version the DIF holds
   // before it publishes its own apps, which must outrank them.
@@ -908,8 +838,7 @@ void Ipcp::admit_joiner(relay::PortIndex idx, const std::string& joiner_name) {
   put_addr(w, assigned);
   put_addr(w, address_);
   w.put_bytes(BytesView{chunks.front()});
-  acc.value = std::move(w).take();
-  send_mgmt(idx, acc);
+  send_mgmt(idx, {RiepOp::reply, ObjClass::join_accept, 0, std::move(w).take()});
   adjacency_changed();
 }
 
@@ -918,7 +847,9 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   BufReader r(BytesView{m.value});
   naming::Address assigned = get_addr(r);
   naming::Address member = get_addr(r);
-  if (!apply_sync(idx, r)) return;  // the DIF's versions before my apps
+  // The DIF's versions before my apps.
+  if (!r.ok() || !apply_sync(idx, sync_msg(r.get_bytes(r.remaining()).to_bytes())))
+    return;
   enrollment_.join_timer_.cancel();  // the pending timeout retry
   enrollment_.stats_.inc("joins_completed");
   p.peer = member;
@@ -933,10 +864,7 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
 void Ipcp::leave(bool teardown_flows) {
   if (!enrolled_) return;
   fa_.close_all(teardown_flows);
-  rib::RiepMessage bye;
-  bye.op = rib::RiepOp::stop;
-  bye.obj_name = "/dif/members/" + host_.node_name();
-  bye.obj_class = kClsBye;
+  const rib::RiepMessage bye{RiepOp::stop, ObjClass::bye};
   for (std::size_t i = 0; i < ports_.size(); ++i)
     if (usable(ports_[i])) send_mgmt(static_cast<relay::PortIndex>(i), bye);
   enrolled_ = false;
@@ -962,14 +890,15 @@ void Ipcp::publish_dir_change(const naming::AppName& app, bool bound) {
   std::optional<naming::Address> at;
   if (bound) at = address_;
   (void)dir_.apply(app, at, s);
-  rib::RiepMessage m = dir_upd_msg(app, s, at);
   if (cfg_.dir_hierarchical) {
     // Registration state lives only on the resolver chain (region
     // anchor + root); nobody floods, everyone else resolves on demand.
-    send_targeted_dir_update(m);
-  } else {
-    flood(m, std::nullopt);
+    send_targeted_dir_update(app, s, at);
+    return;
   }
+  SyncPacker pk;
+  pk.add_dir(app, s, at);
+  flood(std::move(pk).take(), std::nullopt);
 }
 
 void Ipcp::publish_app(const naming::AppName& app) {
@@ -1002,16 +931,10 @@ void Ipcp::unpublish_app(const naming::AppName& app) {
   if (cfg_.dir_hierarchical && was) cascade_dir_inval(app, *was);
 }
 
-bool Ipcp::apply_dir_update(const rib::RiepMessage& m) {
+void Ipcp::apply_dir_update(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   DirRecord d = get_dir_record(r);
-  if (!r.ok() || d.stamp.origin.is_null()) return false;
-  if (d.stamp.origin == address_) return false;
-  if (!cfg_.dir_hierarchical) {
-    if (dir_.apply(d.app, d.at, d.stamp)) return true;
-    stats_.inc("dir_dups_suppressed");
-    return false;
-  }
+  if (!r.ok() || d.stamp.origin.is_null() || d.stamp.origin == address_) return;
   // Hierarchical authorities apply targeted updates in arrival order: a
   // publisher elsewhere in the DIF never saw the name's last version.
   std::optional<naming::Address> old = dir_.lookup(d.app);
@@ -1023,22 +946,19 @@ bool Ipcp::apply_dir_update(const rib::RiepMessage& m) {
   // of the old binding via its interest list — mobility costs O(who
   // actually resolved the name), not O(members).
   if (old && old != d.at) cascade_dir_inval(d.app, *old);
-  return true;
 }
 
-void Ipcp::handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m) {
-  if (apply_dir_update(m) && !cfg_.dir_hierarchical) flood(m, idx);
-}
-
-// ------------------------- state transfer -------------------------
+// ------------------------- replicated state -------------------------
 //
-// A peer met for the first time (hello), admitted (enrollment) or back
-// after an outage (carrier return, keepalive revival) missed every flood
-// sent before. Each side hands the other its state in one Sync: stamped
+// The LSDB and the stamped directory are the DIF's replicated state, and
+// Sync is the one message that carries it: an origination floods a Sync
+// of one record, and a peer met for the first time (hello), admitted
+// (enrollment) or back after an outage (carrier return, keepalive
+// revival) gets all of mine, since it missed every flood sent before —
 // directory names (none under hierarchical naming, which replicates
-// none), then LSDB records. What the receiver already holds stops at its
-// (origin, seq) guard or version stamps; what is news floods on as
-// ordinary LSUs and DirUpds.
+// none), then LSDB records. What a receiver already holds stops at its
+// (origin, seq) guard or version stamps; what is news floods on as one
+// Sync per Sync received, never one per record.
 
 void Ipcp::port_changed(relay::PortIndex idx) {
   const Port& p = ports_[idx];
@@ -1051,57 +971,50 @@ void Ipcp::port_changed(relay::PortIndex idx) {
 }
 
 std::vector<Bytes> Ipcp::sync_chunks(naming::Address peer) const {
-  std::vector<Bytes> chunks;
-  BufWriter dir_w, lsu_w;
-  std::uint16_t ndir = 0, nlsu = 0;
-  // Close the open chunk if it holds records and `next` more bytes would
-  // push it past the budget.
-  auto close_before = [&](std::size_t next) {
-    if (ndir + nlsu == 0 || 4 + dir_w.size() + lsu_w.size() + next <= kSnapshotBudget)
-      return;
-    BufWriter w(4 + dir_w.size() + lsu_w.size());
-    w.put_u16(ndir);
-    w.put_bytes(BytesView{std::move(dir_w).take()});
-    w.put_u16(nlsu);
-    w.put_bytes(BytesView{std::move(lsu_w).take()});
-    chunks.push_back(std::move(w).take());
-    dir_w = BufWriter{};
-    lsu_w = BufWriter{};
-    ndir = nlsu = 0;
-  };
+  SyncPacker pk;
   if (!cfg_.dir_hierarchical) {
-    for (const auto& [app, stamp] : dir_.stamps()) {
-      close_before(dir_record_size(app));
-      put_dir_record(dir_w, app, stamp, dir_.lookup(app));
-      ++ndir;
-    }
+    for (const auto& [app, stamp] : dir_.stamps()) pk.add_dir(app, stamp, dir_.lookup(app));
   }
   // The peer ignores its own record, and mine is re-originated for the
   // new adjacency anyway.
   for (const auto& [origin, rec] : lsdb_) {
     if (origin == peer || origin == address_) continue;
-    close_before(lsu_record_size(rec.neighbors));
-    put_lsu_record(lsu_w, origin, rec.seq, rec.neighbors);
-    ++nlsu;
+    pk.add_lsu(origin, rec.seq, rec.neighbors);
   }
-  close_before(kSnapshotBudget);  // the last chunk
-  return chunks;
+  return std::move(pk).take();
 }
 
-bool Ipcp::apply_sync(relay::PortIndex from, BufReader& r) {
+bool Ipcp::apply_sync(relay::PortIndex from, const rib::RiepMessage& m) {
+  BufReader r(BytesView{m.value});
   std::uint16_t ndir = r.get_u16();
+  std::uint16_t nlsu = r.get_u16();
+  // News floods on: the Sync as it arrived when every record was news,
+  // else the news re-packed (a partly stale hand-over).
+  std::vector<DirRecord> dir_news;
+  std::vector<naming::Address> lsu_news;
   for (std::uint16_t i = 0; i < ndir && r.ok(); ++i) {
     DirRecord d = get_dir_record(r);
-    if (r.ok() && !d.stamp.origin.is_null() && dir_.apply(d.app, d.at, d.stamp))
-      flood(dir_upd_msg(d.app, d.stamp, d.at), from);
+    if (!r.ok() || d.stamp.origin.is_null() || d.stamp.origin == address_) continue;
+    if (dir_.apply(d.app, d.at, d.stamp))
+      dir_news.push_back(std::move(d));
+    else
+      stats_.inc("dir_dups_suppressed");
   }
-  std::uint16_t nlsu = r.get_u16();
-  for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i) {
-    if (auto origin = apply_lsu(r)) {
-      const LsuRecord& rec = lsdb_[*origin];
-      flood(lsu_msg(*origin, rec.seq, rec.neighbors), from);
-      schedule_spf();
+  for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i)
+    if (auto origin = apply_lsu(r)) lsu_news.push_back(*origin);
+  if (!lsu_news.empty()) schedule_spf();
+
+  std::size_t news = dir_news.size() + lsu_news.size();
+  if (r.ok() && r.remaining() == 0 && news == std::size_t{ndir} + nlsu) {
+    if (news != 0) flood(m, from);
+  } else if (news != 0) {
+    SyncPacker pk;
+    for (const DirRecord& d : dir_news) pk.add_dir(d.app, d.stamp, d.at);
+    for (naming::Address origin : lsu_news) {
+      const LsuRecord& rec = lsdb_[origin];
+      pk.add_lsu(origin, rec.seq, rec.neighbors);
     }
+    flood(std::move(pk).take(), from);
   }
   return r.ok();
 }
@@ -1186,15 +1099,11 @@ void Ipcp::send_dir_query(const naming::AppName& app) {
   }
   ++pr.attempts;
   stats_.inc("dir_queries_sent");
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::read;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirRead;
   BufWriter w(8 + app.to_string().size());
   put_addr(w, address_);
   put_app(w, app);
-  m.value = std::move(w).take();
-  send_routed_mgmt(resolver_parent(), m);
+  send_routed_mgmt(resolver_parent(),
+                   {RiepOp::read, ObjClass::dir_read, 0, std::move(w).take()});
   pr.timer =
       sched().schedule_after(kDirQueryRetry, [this, app] { send_dir_query(app); });
 }
@@ -1210,7 +1119,13 @@ void Ipcp::finish_dir_query(const naming::AppName& app,
     if (cb) cb(result);
 }
 
-void Ipcp::send_targeted_dir_update(const rib::RiepMessage& m) {
+void Ipcp::send_targeted_dir_update(const naming::AppName& app,
+                                    naming::Directory::Stamp s,
+                                    std::optional<naming::Address> at) {
+  BufWriter w(dir_record_size(app));
+  put_dir_record(w, app, s, at);
+  const rib::RiepMessage m{at ? RiepOp::create : RiepOp::remove, ObjClass::dir_upd, 0,
+                           std::move(w).take()};
   stats_.inc("dir_targeted_updates");
   naming::Address anchor = dir_anchor();
   if (anchor != address_ && !anchor.is_null()) send_routed_mgmt(anchor, m);
@@ -1221,17 +1136,12 @@ void Ipcp::send_targeted_dir_update(const rib::RiepMessage& m) {
 
 void Ipcp::send_dir_inval(naming::Address to, const naming::AppName& app,
                           naming::Address at) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::remove;
-  m.obj_name = "/dif/directory/" + app.to_string();
-  m.obj_class = kClsDirInval;
   BufWriter w(16 + app.to_string().size());
   put_addr(w, address_);
   put_app(w, app);
   put_addr(w, at);
-  m.value = std::move(w).take();
   stats_.inc("dir_invals_originated");
-  send_routed_mgmt(to, m);
+  send_routed_mgmt(to, {RiepOp::remove, ObjClass::dir_inval, 0, std::move(w).take()});
 }
 
 void Ipcp::cascade_dir_inval(const naming::AppName& app, naming::Address at) {
@@ -1263,8 +1173,7 @@ void Ipcp::handle_dir_inval(const rib::RiepMessage& m) {
   cascade_dir_inval(app, at);
 }
 
-void Ipcp::handle_dir_read(const efcp::Pci& pci, const rib::RiepMessage& m) {
-  (void)pci;
+void Ipcp::handle_dir_read(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   naming::Address requester = get_addr(r);
   naming::AppName app = get_app(r);
@@ -1285,16 +1194,12 @@ void Ipcp::handle_dir_read(const efcp::Pci& pci, const rib::RiepMessage& m) {
   // goes back to the immediate requester, which caches it — so an
   // answer warms every hop on its way down.
   resolve_name(app, [this, requester, app](std::optional<naming::Address> at) {
-    rib::RiepMessage rep;
-    rep.op = rib::RiepOp::reply;
-    rep.obj_name = "/dif/directory/" + app.to_string();
-    rep.obj_class = kClsDirReadReply;
     BufWriter w(16 + app.to_string().size());
     put_app(w, app);
     w.put_u8(at ? 1 : 0);
     put_addr(w, at ? *at : naming::Address{});
-    rep.value = std::move(w).take();
-    send_routed_mgmt(requester, rep);
+    send_routed_mgmt(requester,
+                     {RiepOp::reply, ObjClass::dir_read_reply, 0, std::move(w).take()});
   });
 }
 
@@ -1603,11 +1508,6 @@ void FlowAllocator::try_pending(std::uint32_t invoke_id) {
     return;
   }
 
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::create;
-  m.invoke_id = invoke_id;
-  m.obj_name = "/dif/flows/" + pend.remote.to_string();
-  m.obj_class = "FlowReq";
   BufWriter w(64);
   put_addr(w, self_.address_);
   w.put_u16(pend.local_cep);
@@ -1615,8 +1515,8 @@ void FlowAllocator::try_pending(std::uint32_t invoke_id) {
   w.put_lpstring(pend.cube.name);
   put_app(w, pend.local);
   put_app(w, pend.remote);
-  m.value = std::move(w).take();
-  self_.send_routed_mgmt(*addr, m);
+  self_.send_routed_mgmt(
+      *addr, {RiepOp::create, ObjClass::flow_req, invoke_id, std::move(w).take()});
   pend.sent = true;
 
   // Re-try until answered: the request may race routing convergence or
@@ -1711,7 +1611,6 @@ void FlowAllocator::attach_handle(
     return;
   }
   rec->shared = shared;
-  shared->rx_cap = self_.cfg_.app_rx_queue_sdus;
   shared->node_stats = self_.host_.node_stats();
   // ~FlowAllocator detaches these ops from every live handle, so a Flow
   // outliving its IPCP fails typed instead of dereferencing a dead this.
@@ -1759,17 +1658,12 @@ void FlowAllocator::on_flow_req(const efcp::Pci& /*pci*/, const rib::RiepMessage
   if (!r.ok()) return;
 
   auto reply = [&](bool ok, efcp::CepId cep, const std::string& err) {
-    rib::RiepMessage resp;
-    resp.op = rib::RiepOp::reply;
-    resp.invoke_id = m.invoke_id;
-    resp.obj_name = m.obj_name;
-    resp.obj_class = "FlowResp";
     BufWriter w(32);
     w.put_u8(ok ? 1 : 0);
     w.put_u16(cep);
     w.put_lpstring(err);
-    resp.value = std::move(w).take();
-    self_.send_routed_mgmt(src_addr, resp);
+    self_.send_routed_mgmt(
+        src_addr, {RiepOp::reply, ObjClass::flow_resp, m.invoke_id, std::move(w).take()});
   };
 
   // Idempotent re-request (the response may have been lost).
@@ -1883,15 +1777,10 @@ void FlowAllocator::on_flow_resp(const efcp::Pci& pci, const rib::RiepMessage& m
 /// The one encoder of the release wire format, shared by deallocate's
 /// retried path and close_all's parting shot.
 rib::RiepMessage FlowAllocator::release_msg(const FlowRec& rec) {
-  rib::RiepMessage m;
-  m.op = rib::RiepOp::remove;
-  m.obj_name = "/dif/flows/" + rec.local.to_string();
-  m.obj_class = kClsFlowRelease;
   BufWriter w(8);
   w.put_u16(rec.remote_cep);  // the peer's CEP: how it finds the flow
   w.put_u16(rec.local_cep);   // ours: how its ack finds us
-  m.value = std::move(w).take();
-  return m;
+  return {RiepOp::remove, ObjClass::flow_release, 0, std::move(w).take()};
 }
 
 Result<void> FlowAllocator::deallocate(flow::PortId port) {
@@ -1934,14 +1823,10 @@ void FlowAllocator::on_flow_release(const efcp::Pci& pci,
   if (!r.ok()) return;
   // Ack before looking anything up: a retried release for a flow we
   // already retired must still be acked or the peer retries to timeout.
-  rib::RiepMessage ack;
-  ack.op = rib::RiepOp::reply;
-  ack.obj_name = m.obj_name;
-  ack.obj_class = kClsFlowReleaseAck;
   BufWriter w(4);
   w.put_u16(peer_cep);
-  ack.value = std::move(w).take();
-  self_.send_routed_mgmt(pci.src, ack);
+  self_.send_routed_mgmt(pci.src,
+                         {RiepOp::reply, ObjClass::flow_release_ack, 0, std::move(w).take()});
 
   FlowRec* rec = by_cep(my_cep);
   if (rec == nullptr) return;

@@ -319,9 +319,9 @@ class Ipcp {
   /// degenerates to the local lookup. `cb` fires exactly once.
   void resolve_name(const naming::AppName& app, ResolveCb cb);
   naming::DirCache& dir_cache() { return dir_cache_; }
-  /// My region's resolver anchor ({region, cfg.dir_anchor_node}).
+  /// My region's resolver anchor: node 1 of my region.
   [[nodiscard]] naming::Address dir_anchor() const {
-    return naming::Address{address_.region, cfg_.dir_anchor_node};
+    return naming::Address{address_.region, 1};
   }
 
  private:
@@ -361,22 +361,24 @@ class Ipcp {
   void handle_keepalive(relay::PortIndex idx);
   void handle_bye(relay::PortIndex idx);
   void handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m);
-  void handle_lsu(relay::PortIndex idx, const rib::RiepMessage& m);
   /// Read one link-state record and install it if its (origin, seq) is
   /// news; returns its origin. nullopt = mine, stale, duplicate or bad.
   std::optional<naming::Address> apply_lsu(BufReader& r);
-  void handle_dir_update(relay::PortIndex idx, const rib::RiepMessage& m);
-  bool apply_dir_update(const rib::RiepMessage& m);  // true = fresh
+  /// A targeted write to this directory authority (hierarchical mode),
+  /// applied in arrival order.
+  void apply_dir_update(const rib::RiepMessage& m);
   /// Stamp my directory change to `app` (bind here, or remove) and tell
   /// the DIF: a flood, or the resolver chain when hierarchical.
   void publish_dir_change(const naming::AppName& app, bool bound);
 
-  // State transfer (Sync): my directory and LSDB records, handed to a
-  // peer met by hello, by enrollment, or again after an outage.
-  /// Chunks of at most kSnapshotBudget bytes; none when there is nothing.
+  // Replicated state (Sync): LSDB and directory records, flooded as they
+  // change and handed to a peer met by hello, by enrollment, or again
+  // after an outage.
+  /// My state in chunks of at most kSnapshotBudget bytes; none when
+  /// there is nothing.
   [[nodiscard]] std::vector<Bytes> sync_chunks(naming::Address peer) const;
-  /// Apply one chunk; news floods on (not toward `from`). False = bad.
-  bool apply_sync(relay::PortIndex from, BufReader& r);
+  /// Apply one Sync; its news floods on (not toward `from`). False = bad.
+  bool apply_sync(relay::PortIndex from, const rib::RiepMessage& m);
   /// The adjacency on `idx` came or went: re-route, and Sync the peer if
   /// this makes it my neighbor (new, or back after an outage).
   void port_changed(relay::PortIndex idx);
@@ -389,11 +391,12 @@ class Ipcp {
   void send_dir_query(const naming::AppName& app);
   void finish_dir_query(const naming::AppName& app,
                         std::optional<naming::Address> result);
-  void send_targeted_dir_update(const rib::RiepMessage& m);
+  void send_targeted_dir_update(const naming::AppName& app, naming::Directory::Stamp s,
+                                std::optional<naming::Address> at);
   void send_dir_inval(naming::Address to, const naming::AppName& app,
                       naming::Address at);
   void cascade_dir_inval(const naming::AppName& app, naming::Address at);
-  void handle_dir_read(const efcp::Pci& pci, const rib::RiepMessage& m);
+  void handle_dir_read(const rib::RiepMessage& m);
   void handle_dir_read_reply(const rib::RiepMessage& m);
   void handle_dir_inval(const rib::RiepMessage& m);
 
@@ -406,7 +409,7 @@ class Ipcp {
   [[nodiscard]] bool joining_via(relay::PortIndex idx) const {
     return !enrolled_ && enrollment_.join_port_ == idx;
   }
-  void admit_joiner(relay::PortIndex idx, const std::string& joiner_name);
+  void admit_joiner(relay::PortIndex idx);
   void complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m);
 
   // Routing engine (link-state, scoped to this DIF).
@@ -414,6 +417,7 @@ class Ipcp {
   void schedule_spf();
   void originate_lsu();
   void flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except);
+  void flood(std::vector<Bytes> chunks, std::optional<relay::PortIndex> except);  // as Syncs
   void run_spf();
   void run_spf_incremental();
   [[nodiscard]] bool use_incremental_spf() const {
@@ -447,8 +451,9 @@ class Ipcp {
   naming::Directory dir_;
   Stats stats_;
   // Per-mgmt-PDU counter cells (Stats::slot): send_mgmt classifies every
-  // keepalive/hello/LSU it emits, which at scale is the busiest non-data
-  // path in the node.
+  // keepalive, hello and Sync it emits, which at scale is the busiest
+  // non-data path in the node. A Sync carrying LSDB records counts as an
+  // LSU flooded; a names-only Sync as plain RIEP.
   std::uint64_t* c_hellos_sent_ = nullptr;
   std::uint64_t* c_keepalives_sent_ = nullptr;
   std::uint64_t* c_lsus_flooded_ = nullptr;

@@ -416,6 +416,48 @@ naming::AppName Network::overlay_app(const naming::DifName& dif,
   return naming::AppName("ipcp." + dif.str() + "." + node_name);
 }
 
+namespace {
+
+/// A port of `upper` that rides a flow of `lower`; `bind` names that flow
+/// once it exists. Until then the port transmits into the void (hello and
+/// enrollment retries cover the gap). Port-ids are recycled after a flow
+/// retires, so the lower flow's closing severs the binding before its id
+/// can be reused: a stale write would land in whatever flow inherited it.
+struct OverlayPort {
+  relay::PortIndex idx;
+  std::function<void(flow::PortId)> bind;
+};
+
+OverlayPort add_overlay_port(ipcp::Ipcp* upper, ipcp::Ipcp* lower) {
+  auto bound = std::make_shared<std::optional<flow::PortId>>();
+  ipcp::Ipcp::PortInit init;
+  init.is_wire = false;
+  init.tx = [lower, bound](Packet& frame) {
+    if (!bound->has_value()) return true;  // dropped: no lower flow
+    // The recursion's fast path: the upper DIF's frame enters the lower
+    // DIF as a Packet, so the lower EFCP prepends its PCI into the same
+    // buffer. Backpressure asks the RMT to hold the PDU (frame is left
+    // intact); any other failure is a drop (the upper EFCP recovers if
+    // its policy says so).
+    auto r = lower->fa().write_pkt(bound->value(), frame);
+    return r.ok() || r.error().code != Err::backpressure;
+  };
+  relay::PortIndex idx = upper->add_port(std::move(init));
+  auto bind = [upper, lower, idx, bound](flow::PortId lower_port) {
+    *bound = lower_port;
+    lower->fa().set_flow_sink(
+        lower_port,
+        [upper, idx](Packet&& sdu) { upper->on_port_frame(idx, std::move(sdu)); },
+        [upper, idx, bound] {
+          bound->reset();
+          upper->set_port_carrier(idx, false);
+        });
+  };
+  return {idx, std::move(bind)};
+}
+
+}  // namespace
+
 Result<void> Network::register_overlay_member(const naming::DifName& dif,
                                               const std::string& node_name,
                                               const naming::DifName& lower) {
@@ -438,48 +480,11 @@ Result<void> Network::register_overlay_member(const naming::DifName& dif,
   overlay_registered_.insert(key);
 
   // Overlay members are internal consumers: accept the incoming lower
-  // flow, then move it onto an internal sink (bind_overlay_port) — the
+  // flow, then move it onto an internal sink (add_overlay_port) — the
   // app-visible rx queue never sees recursion traffic.
-  std::string nn = node_name;
-  naming::DifName d = dif, low = lower;
-  return n.register_app(app, lower, [this, nn, d, low](flow::Flow f) {
-    (void)bind_overlay_port(nn, d, low, f.port());
+  return n.register_app(app, lower, [upper, lp](flow::Flow f) {
+    add_overlay_port(upper, lp).bind(f.port());
   });
-}
-
-relay::PortIndex Network::bind_overlay_port(const std::string& node_name,
-                                            const naming::DifName& dif,
-                                            const naming::DifName& lower,
-                                            flow::PortId lower_port) {
-  Node& n = node(node_name);
-  auto* upper = n.ipcp(dif);
-  auto* lp = n.ipcp(lower);
-  // Port-ids are recycled after a flow retires, so the tx closure must
-  // not trust its captured number once the lower flow closes — a stale
-  // write would land in whatever new flow inherited the id. The sink's
-  // on_closed severs the binding before the id can be reused.
-  auto lower_open = std::make_shared<bool>(true);
-  ipcp::Ipcp::PortInit init;
-  init.is_wire = false;
-  init.tx = [lp, lower_port, lower_open](Packet& frame) {
-    if (!*lower_open) return true;  // dropped: lower flow gone
-    // The recursion's fast path: the upper DIF's frame enters the lower
-    // DIF as a Packet, so the lower EFCP prepends its PCI into the same
-    // buffer. Backpressure asks the RMT to hold the PDU (frame is left
-    // intact); any other failure is a drop (the upper EFCP recovers if
-    // its policy says so).
-    auto r = lp->fa().write_pkt(lower_port, frame);
-    return r.ok() || r.error().code != Err::backpressure;
-  };
-  relay::PortIndex idx = upper->add_port(std::move(init));
-  lp->fa().set_flow_sink(
-      lower_port,
-      [upper, idx](Packet&& sdu) { upper->on_port_frame(idx, std::move(sdu)); },
-      [upper, idx, lower_open] {
-        *lower_open = false;
-        upper->set_port_carrier(idx, false);
-      });
-  return idx;
 }
 
 Result<void> Network::connect_overlay_members(const naming::DifName& dif,
@@ -494,15 +499,12 @@ Result<void> Network::connect_overlay_members(const naming::DifName& dif,
 
   naming::AppName local = overlay_app(dif, adj.a);
   naming::AppName remote = overlay_app(dif, adj.b);
-  std::string a = adj.a;
-  naming::DifName d = dif, low = adj.lower;
-  lp->fa().allocate(local, remote, adj.qos,
-                    [this, a, d, low](Result<flow::FlowInfo> r) {
-                      if (!r.ok()) return;  // lower DIF never converged
-                      relay::PortIndex idx =
-                          bind_overlay_port(a, d, low, r.value().port);
-                      node(a).ipcp(d)->start_port(idx);
-                    });
+  lp->fa().allocate(local, remote, adj.qos, [upper, lp](Result<flow::FlowInfo> r) {
+    if (!r.ok()) return;  // lower DIF never converged
+    OverlayPort port = add_overlay_port(upper, lp);
+    port.bind(r.value().port);
+    upper->start_port(port.idx);
+  });
   return Ok();
 }
 
@@ -517,37 +519,15 @@ Result<relay::PortIndex> Network::make_overlay_port(const naming::DifName& dif,
   if (lp == nullptr)
     return {Err::not_found, for_node + " is not a member of " + adj.lower.str()};
 
-  // The lower flow is allocated asynchronously; until it is up, the port
-  // exists but transmits into the void (enrollment retries cover this).
-  // The binding is also severed when the lower flow closes, so the
-  // captured port-id can be recycled without this port aliasing it.
-  auto bound = std::make_shared<std::optional<flow::PortId>>();
-  ipcp::Ipcp::PortInit init;
-  init.is_wire = false;
-  init.tx = [lp, bound](Packet& frame) {
-    if (!bound->has_value()) return true;  // dropped: not bound
-    auto r = lp->fa().write_pkt(bound->value(), frame);
-    return r.ok() || r.error().code != Err::backpressure;
-  };
-  relay::PortIndex idx = upper->add_port(std::move(init));
-
+  // The lower flow is allocated asynchronously; the port exists now.
+  OverlayPort port = add_overlay_port(upper, lp);
   naming::AppName local = overlay_app(dif, for_node);
   naming::AppName remote = overlay_app(dif, adj.a == for_node ? adj.b : adj.a);
   lp->fa().allocate(local, remote, adj.qos,
-                    [lp, upper, idx, bound](Result<flow::FlowInfo> r) {
-                      if (!r.ok()) return;
-                      *bound = r.value().port;
-                      lp->fa().set_flow_sink(
-                          r.value().port,
-                          [upper, idx](Packet&& sdu) {
-                            upper->on_port_frame(idx, std::move(sdu));
-                          },
-                          [upper, idx, bound] {
-                            bound->reset();
-                            upper->set_port_carrier(idx, false);
-                          });
+                    [bind = port.bind](Result<flow::FlowInfo> r) {
+                      if (r.ok()) bind(r.value().port);
                     });
-  return idx;
+  return port.idx;
 }
 
 Result<void> Network::build_overlay_dif(DifSpec spec, std::vector<OverlayAdj> adjs) {

@@ -309,10 +309,6 @@ class Network {
                              std::uint32_t dif_id, int* side_of_a);
   Attach* find_attach(const std::string& node_name, const std::string& peer,
                       std::uint32_t dif_id);
-  relay::PortIndex bind_overlay_port(const std::string& node_name,
-                                     const naming::DifName& dif,
-                                     const naming::DifName& lower,
-                                     flow::PortId lower_port);
   static naming::AppName overlay_app(const naming::DifName& dif,
                                      const std::string& node_name);
 

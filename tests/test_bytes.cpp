@@ -1,11 +1,12 @@
 // test_bytes — BufReader/BufWriter round trips, short-read latching,
-// length-prefix overflow latching, adversarial/corrupt-frame hardening,
-// and Result<T> error paths.
+// length-prefix overflow latching, adversarial/corrupt-frame hardening
+// of the PCI, RIEP and CNT1 decoders, and Result<T> error paths.
 #include "common/bytes.hpp"
 
 #include <string>
 
 #include "common/result.hpp"
+#include "content/protocol.hpp"
 #include "efcp/pci.hpp"
 #include "rib/riep.hpp"
 #include "test_util.hpp"
@@ -86,9 +87,10 @@ static void reader_rejects_adversarial_lp_lengths() {
 }
 
 // Fuzz-ish: corrupt frames (bit flips, truncations, adversarial length
-// prefixes) thrown at both wire-format decoders. Every outcome must be
-// a clean accept or a clean reject — never a crash, hang, or giant
-// allocation (ASan/UBSan in CI watch the memory side).
+// prefixes) thrown at every wire-format decoder: the PCI, RIEP, and the
+// CNT1 content messages (an interest and a data object). Every outcome
+// must be a clean accept or a clean reject — never a crash, hang, or
+// giant allocation (ASan/UBSan in CI watch the memory side).
 static void corrupt_frame_fuzz() {
   // Deterministic xorshift so failures reproduce.
   std::uint64_t rng = 0x9E3779B97F4A7C15ull;
@@ -104,18 +106,23 @@ static void corrupt_frame_fuzz() {
   pdu.pci.src = naming::Address{1, 3};
   pdu.pci.seq = 99;
   pdu.payload = to_bytes("fuzz seed payload for corrupt frame tests");
-  Bytes pdu_wire = pdu.encode();
 
   rib::RiepMessage m;
   m.op = rib::RiepOp::write;
-  m.obj_name = "/fuzz/object";
-  m.obj_class = "Fuzz";
+  m.obj_class = rib::ObjClass::sync;
   m.value = to_bytes("opaque value bytes");
-  Bytes riep_wire = m.encode();
 
-  int pdu_ok = 0, riep_ok = 0;
-  for (int i = 0; i < 4000; ++i) {
-    Bytes f = (i % 2 == 0) ? pdu_wire : riep_wire;
+  const Bytes object = to_bytes("a content object of some length");
+  enum Codec { kPci, kRiep, kInterest, kData, kCodecs };
+  const Bytes seeds[kCodecs] = {
+      pdu.encode(), m.encode(), content::encode_interest(7, "/videos/cat", 42),
+      content::encode_data(7, "/videos/cat", 42, BytesView{object})};
+
+  int accepted[kCodecs] = {};
+  constexpr int kRounds = 8000;
+  for (int i = 0; i < kRounds; ++i) {
+    Codec c = static_cast<Codec>(i % kCodecs);
+    Bytes f = seeds[c];
     // 1-4 mutations: flip a byte, or stomp a plausible length prefix.
     int muts = 1 + static_cast<int>(next() % 4);
     for (int k = 0; k < muts; ++k) {
@@ -127,17 +134,29 @@ static void corrupt_frame_fuzz() {
       }
     }
     if (next() % 3 == 0) f.resize(next() % (f.size() + 1));  // truncate too
-    if (i % 2 == 0) {
-      auto d = efcp::Pdu::decode(BytesView{f});
-      if (d.ok()) ++pdu_ok;
+    bool ok = false;
+    if (c == kPci) {
+      ok = efcp::Pdu::decode(BytesView{f}).ok();
+    } else if (c == kRiep) {
+      ok = rib::RiepMessage::decode(BytesView{f}).ok();
     } else {
-      auto d = rib::RiepMessage::decode(BytesView{f});
-      if (d.ok()) ++riep_ok;
+      auto d = content::decode(BytesView{f});
+      if (d.ok()) {
+        ok = true;
+        // The object views into the frame: reading it all must stay
+        // inside the buffer, and the cheap peek must agree.
+        unsigned sum = 0;
+        for (std::uint8_t byte : d.value().object) sum += byte;
+        (void)sum;
+        CHECK(content::looks_like_content(BytesView{f}));
+      }
     }
+    if (ok) ++accepted[c];
   }
   // Some mutations only touch the payload and still decode — that is
-  // fine; the point is that nothing above ever crashed or over-read.
-  CHECK(pdu_ok + riep_ok < 4000);
+  // fine; the point is that nothing above ever crashed or over-read,
+  // and that no decoder accepted everything it was fed.
+  for (int c = 0; c < kCodecs; ++c) CHECK(accepted[c] < kRounds / kCodecs);
 }
 
 static void views() {

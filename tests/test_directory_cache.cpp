@@ -88,7 +88,6 @@ struct HierNet {
     node::DifSpec s;
     s.cfg.name = dif;
     s.cfg.dir_hierarchical = true;
-    s.cfg.dir_anchor_node = 1;          // anchor = {region, 1}
     s.cfg.dir_root = Address{1, 1};     // the top of the chain
     s.cfg.dir_cache_ttl = SimTime::from_ms(500);
     s.members = {"root", "m1", "m2", "anc2", "m3"};

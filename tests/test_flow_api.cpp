@@ -267,14 +267,12 @@ static void write_backpressure_and_on_writable() {
 }
 
 // The receive queue is bounded: a reader that never reads loses SDUs to
-// a counted drop (app_rx_dropped), holds at most the configured depth,
-// and delivery resumes into freed slots after a drain.
+// a counted drop (app_rx_dropped), holds at most its 64-SDU depth, and
+// delivery resumes into freed slots after a drain.
 static void bounded_rx_queue_counts_drops() {
   Network net(76);
   net.add_link("a", "b");
-  node::DifSpec s = spec("d", {"a", "b"});
-  s.cfg.app_rx_queue_sdus = 4;
-  CHECK(net.build_link_dif(s).ok());
+  CHECK(net.build_link_dif(spec("d", {"a", "b"})).ok());
 
   flow::Flow server_flow;
   int readable_fires = 0;
@@ -294,11 +292,13 @@ static void bounded_rx_queue_counts_drops() {
                                        flow::QosSpec::reliable_default()));
   CHECK(f.is_open());
 
-  for (int i = 0; i < 12; ++i) CHECK(f.write(BytesView{to_bytes("x")}).ok());
+  constexpr std::size_t kDepth = flow::detail::FlowShared::rx_cap;
+  for (std::size_t i = 0; i < kDepth + 8; ++i)
+    CHECK(f.write(BytesView{to_bytes("x")}).ok());
   net.run_for(SimTime::from_ms(300));
 
-  CHECK(server_flow.readable() == 4);  // capped at the configured depth
-  CHECK(readable_fires == 1);          // edge-triggered: empty -> non-empty
+  CHECK(server_flow.readable() == kDepth);  // capped at the queue depth
+  CHECK(readable_fires == 1);               // edge-triggered: empty -> non-empty
   CHECK(net.node("b").ipcp(naming::DifName{"d"})->fa().stats().get(
             "app_rx_dropped") == 8);
 

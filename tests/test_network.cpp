@@ -2,7 +2,8 @@
 // register by name, allocate a flow, move data; relay through a middle
 // system; reject an enrollment with bad credentials; overlay DIFs;
 // adjacencies over a lossy wire; the state hand-over (Sync) to a joiner,
-// a late first adjacency and a returning adjacency.
+// a late first adjacency and a returning adjacency, and its news flooded
+// on as one Sync.
 #include "node/network.hpp"
 
 #include <functional>
@@ -302,16 +303,15 @@ static void malformed_sync_ignored() {
   auto send = [&](Bytes value) {
     BufWriter w;  // a RIEP write of class Sync carrying `value`
     w.put_u8(static_cast<std::uint8_t>(rib::RiepOp::write));
+    w.put_u8(static_cast<std::uint8_t>(rib::ObjClass::sync));
     w.put_u32(0);
-    w.put_lpstring("/dif/sync");
-    w.put_lpstring("Sync");
     w.put_lpbytes(BytesView{value});
     efcp::Pdu pdu;
     pdu.pci.type = efcp::PduType::mgmt;
     pdu.pci.src = a->address();
     pdu.payload = std::move(w).take();
     auto framed = rib::RiepMessage::decode(pdu.payload.view());
-    CHECK(framed.ok() && framed.value().obj_class == "Sync");
+    CHECK(framed.ok() && framed.value().obj_class == rib::ObjClass::sync);
     CHECK(a->rmt().egress_via(0, std::move(pdu)).ok());
     net.run_for(SimTime::from_ms(50));
   };
@@ -410,6 +410,42 @@ static void partition_repair(Partitioned what, int tail = 0) {
   if (tail > 0) CHECK(net.sum_dif_counter(dif, "rmt_drops") == 0);
 }
 
+// --- a member that learns many records at once floods them on as one ---
+//
+// y—a and a converged 30-member chain c1…c30 are one flat DIF in two
+// pieces until a—c1 is wired. c1's hand-over gives a 29 LSDB records and
+// srv's name at once. a must pass them to y as the one Sync they came
+// in, not as one message per record: the y—a wire queues 4 frames and
+// the DIF's RMT queues hold 8 PDUs, so a per-record re-flood tail-drops
+// most of them and y never learns the route to srv.
+
+static void handover_floods_on_as_one() {
+  Network net(53);
+  node::DifSpec s = spec("d", {"y", "a"});
+  s.cfg.rmt_queue_pdus = 8;
+  node::LinkOpts ya;
+  ya.queue_pkts = 4;
+  net.add_link("y", "a", ya);
+  constexpr int kChain = 30;
+  for (int i = 1; i <= kChain; ++i) {
+    std::string c = "c" + std::to_string(i);
+    if (i > 1) net.add_link("c" + std::to_string(i - 1), c);
+    s.members.push_back(c);
+  }
+  CHECK(net.build_link_dif(s).ok());
+  const naming::DifName dif{"d"};
+  register_sink(net, "c" + std::to_string(kChain), "srv", "d", [](Bytes&&) {});
+  net.run_for(SimTime::from_sec(1));
+
+  net.add_link("a", "c1");
+  CHECK(net.connect_members(dif, "a", "c1").ok());
+  net.run_for(SimTime::from_ms(200));
+  CHECK(net.node("y").ipcp(dif)->rmt().fib().entry_count() == kChain + 1);
+  flow::Flow f = open_flow(net, "y", "cli", "srv");
+  CHECK(f.is_open());
+  CHECK(net.sum_dif_counter(dif, "rmt_drops") == 0);
+}
+
 // --- keepalive revival: a path heals with no carrier signal ---
 //
 // Overlay DIF `top` between a and b rides an unreliable flow of the
@@ -462,6 +498,7 @@ int main() {
   late_first_adjacency();
   joiner_gets_whole_state();
   malformed_sync_ignored();
+  handover_floods_on_as_one();
   keepalive_revival();
   return TEST_MAIN_RESULT();
 }

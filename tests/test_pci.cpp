@@ -71,23 +71,44 @@ static void pdu_corrupt() {
 static void riep_roundtrip() {
   rib::RiepMessage m;
   m.op = rib::RiepOp::write;
+  m.obj_class = rib::ObjClass::sync;
   m.invoke_id = 424242;
-  m.obj_name = "/routing/lsdb/3.7";
-  m.obj_class = "LSU";
   m.value = to_bytes("opaque");
   Bytes wire = m.encode();
+  // u8 op | u8 class | u32 invoke_id | lp32 value: a 10-byte header.
+  CHECK(wire.size() == 10 + m.value.size());
   auto d = rib::RiepMessage::decode(BytesView{wire});
   CHECK(d.ok());
   CHECK(d.value().op == rib::RiepOp::write);
+  CHECK(d.value().obj_class == rib::ObjClass::sync);
   CHECK(d.value().invoke_id == 424242);
-  CHECK(d.value().obj_name == m.obj_name);
-  CHECK(d.value().obj_class == m.obj_class);
   CHECK(d.value().value == m.value);
 
-  CHECK(!rib::RiepMessage::decode(BytesView{wire}.first(3)).ok());
-  Bytes bad = wire;
-  bad[0] = 0;  // invalid op
-  CHECK(!rib::RiepMessage::decode(BytesView{bad}).ok());
+  // Every class round-trips; the bytes on either side of the range do not.
+  for (int c = 1; c <= static_cast<int>(rib::kLastObjClass); ++c) {
+    m.obj_class = static_cast<rib::ObjClass>(c);
+    auto dc = rib::RiepMessage::decode(BytesView{m.encode()});
+    CHECK(dc.ok() && dc.value().obj_class == m.obj_class);
+  }
+  auto with_byte = [&](std::size_t at, std::uint8_t v) {
+    Bytes bad = wire;
+    bad[at] = v;
+    return rib::RiepMessage::decode(BytesView{bad}).ok();
+  };
+  CHECK(!with_byte(0, 0));  // op 0
+  CHECK(!with_byte(0, 8));  // op past reply
+  CHECK(!with_byte(1, 0));  // class 0
+  CHECK(!with_byte(1, static_cast<std::uint8_t>(rib::kLastObjClass) + 1));
+  CHECK(with_byte(1, static_cast<std::uint8_t>(rib::kLastObjClass)));
+
+  // A short header, a value shorter than its length, trailing bytes.
+  CHECK(!rib::RiepMessage::decode(BytesView{wire}.first(5)).ok());
+  CHECK(!rib::RiepMessage::decode(BytesView{wire}.first(9)).ok());
+  CHECK(!rib::RiepMessage::decode(BytesView{wire}.first(wire.size() - 1)).ok());
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  CHECK(!rib::RiepMessage::decode(BytesView{trailing}).ok());
+  CHECK(!rib::RiepMessage::decode(BytesView{}).ok());
 }
 
 int main() {
