@@ -1,7 +1,8 @@
 // bench_micro — datapath microbenchmarks (google-benchmark).
 //
 // These calibrate the simulator's building blocks: header codec costs,
-// RIEP message costs, SPF, two-step FIB lookups, RIB operations, and a
+// RIEP message costs, SPF (Graph::dijkstra and the unit-cost kernel
+// Ipcp runs), two-step FIB lookups, RIB operations, and a
 // full EFCP write→deliver round trip through two wired connections.
 //
 // The "Encap" section measures the zero-copy SDU datapath: how many
@@ -24,6 +25,7 @@
 #include "relay/forwarding.hpp"
 #include "rib/riep.hpp"
 #include "routing/graph.hpp"
+#include "routing/unit_spf.hpp"
 #include "sim/scheduler.hpp"
 
 using namespace rina;
@@ -249,6 +251,38 @@ static void BM_Dijkstra(benchmark::State& state) {
   state.SetLabel(std::to_string(g.node_count()) + " nodes");
 }
 BENCHMARK(BM_Dijkstra)->Arg(16)->Arg(64)->Arg(256);
+
+static void BM_UnitSpf(benchmark::State& state) {
+  // BM_Dijkstra's ring of stars as a link-state database, routed the way
+  // Ipcp::run_spf routes it: the source's live links plus every other
+  // record through the unit-cost kernel, then the in-place FIB replace.
+  auto n = static_cast<std::uint16_t>(state.range(0));
+  struct Record {
+    std::vector<naming::Address> neighbors;
+  };
+  std::map<naming::Address, Record> lsdb;
+  auto link = [&](naming::Address a, naming::Address b) {
+    lsdb[a].neighbors.push_back(b);
+    lsdb[b].neighbors.push_back(a);
+  };
+  for (std::uint16_t r = 0; r < n; ++r) {
+    naming::Address border{static_cast<std::uint16_t>(r + 1), 1};
+    link(border, naming::Address{static_cast<std::uint16_t>((r + 1) % n + 1), 1});
+    for (std::uint16_t s = 2; s <= 4; ++s)
+      link(border, naming::Address{static_cast<std::uint16_t>(r + 1), s});
+  }
+  naming::Address src{1, 1};
+  const std::vector<naming::Address> live = lsdb[src].neighbors;
+  routing::UnitSpf& spf = routing::UnitSpf::scratch();
+  relay::ForwardingTable fib;
+  for (auto _ : state) {
+    for (naming::Address nb : live) spf.add_link(src, nb);
+    fib.replace_routes(spf.solve(src, lsdb));
+    benchmark::DoNotOptimize(fib.routes());
+  }
+  state.SetLabel(std::to_string(lsdb.size()) + " nodes");
+}
+BENCHMARK(BM_UnitSpf)->Arg(16)->Arg(64)->Arg(256);
 
 static void BM_TwoStepLookup(benchmark::State& state) {
   relay::ForwardingTable fib;

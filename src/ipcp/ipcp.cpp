@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "content/protocol.hpp"
+#include "routing/unit_spf.hpp"
 
 namespace rina::ipcp {
 
@@ -200,6 +201,27 @@ class SyncPacker {
   std::uint16_t ndir_ = 0, nlsu_ = 0;
   std::vector<Bytes> chunks_;
 };
+
+// Topological aggregation: full entries for my region, one wildcard entry
+// per foreign region (routes grow with regions, not nodes), holding the
+// hops of the region's first nearest member. In place: a wildcard {r, 0}
+// sorts before every member of region r, so the routes stay in order.
+void aggregate_foreign_regions(std::vector<routing::UnitSpf::Route>& routes,
+                               std::uint16_t mine) {
+  std::size_t w = 0;
+  for (const routing::UnitSpf::Route& r : routes) {
+    if (r.dest.region == mine) {
+      routes[w++] = r;
+      continue;
+    }
+    const routing::UnitSpf::Route wild{r.dest.region_wildcard(), r.dist, r.hops};
+    if (w == 0 || routes[w - 1].dest != wild.dest)
+      routes[w++] = wild;
+    else if (wild.dist < routes[w - 1].dist)
+      routes[w - 1] = wild;
+  }
+  routes.resize(w);
+}
 
 }  // namespace
 
@@ -646,40 +668,15 @@ void Ipcp::run_spf() {
   }
   stats_.inc("spf_runs");
 
-  routing::Graph g;
-  auto mine = live_neighbors();
-  for (const auto& [addr, ports] : mine) g.add_edge(address_, addr, 1);
-  for (const auto& [origin, rec] : lsdb_) {
-    if (origin == address_) continue;
-    for (auto n : rec.neighbors) g.add_edge(origin, n, 1);
-  }
-  auto spf = g.dijkstra(address_);
+  routing::UnitSpf& spf = routing::UnitSpf::scratch();
+  for (const Port& p : ports_)
+    if (usable(p)) spf.add_link(address_, p.peer);
+  std::vector<routing::UnitSpf::Route>& routes = spf.solve(address_, lsdb_);
   // A full run re-derives every destination — the comparable work unit
   // incremental repair reports per touched vertex.
-  stats_.inc("spf_vertices_recomputed", spf.entries.size());
-
-  rmt_.fib_.clear_routes();
-  if (!cfg_.aggregate_regions) {
-    for (auto& [dest, entry] : spf.entries)
-      rmt_.fib_.set_next_hops(dest, entry.next_hops);
-  } else {
-    // Topological aggregation: full entries for my region, one wildcard
-    // entry per foreign region (routes grow with regions, not nodes).
-    std::map<std::uint16_t, std::pair<routing::Cost, std::vector<naming::Address>>>
-        best_foreign;
-    for (auto& [dest, entry] : spf.entries) {
-      if (dest.region == address_.region) {
-        rmt_.fib_.set_next_hops(dest, entry.next_hops);
-      } else {
-        auto it = best_foreign.find(dest.region);
-        if (it == best_foreign.end() || entry.dist < it->second.first)
-          best_foreign[dest.region] = {entry.dist, entry.next_hops};
-      }
-    }
-    for (auto& [region, best] : best_foreign)
-      rmt_.fib_.set_next_hops(naming::Address{region, 0}, best.second);
-  }
-  rebuild_neighbor_ports();
+  stats_.inc("spf_vertices_recomputed", routes.size());
+  if (cfg_.aggregate_regions) aggregate_foreign_regions(routes, address_.region);
+  rmt_.fib_.replace_routes(routes);
 }
 
 // --------------------------- keepalives ---------------------------
@@ -1278,13 +1275,11 @@ void Ipcp::run_spf_incremental() {
     rmt_.fib_.clear_routes();
     for (auto& [dest, entry] : spf_prev_.entries)
       rmt_.fib_.set_next_hops(dest, entry.next_hops);
-    rebuild_neighbor_ports();
     return;
   }
 
   if (pending_edge_changes_.empty()) {
     stats_.inc("spf_skipped");
-    rebuild_neighbor_ports();
     return;
   }
   std::vector<routing::EdgeChange> changes = std::move(pending_edge_changes_);
@@ -1295,7 +1290,6 @@ void Ipcp::run_spf_incremental() {
   if (delta.skipped) {
     // No changed edge touched a shortest path: the tree stands.
     stats_.inc("spf_skipped");
-    rebuild_neighbor_ports();
     return;
   }
   stats_.inc("spf_runs");
@@ -1311,7 +1305,6 @@ void Ipcp::run_spf_incremental() {
       rmt_.fib_.set_next_hops(dest, it->second.next_hops);
   }
   spf_prev_ = std::move(next);
-  rebuild_neighbor_ports();
 }
 
 // ============================== Rmt ==============================

@@ -179,6 +179,25 @@ class ForwardingTable {
     memo_ports_ = nullptr;
   }
 
+  /// Replace every route with `routes` — items with a `dest` and an
+  /// iterable `hops`, dests strictly ascending — in one sorted merge. A
+  /// route that stays keeps its map node and its vector's capacity, so
+  /// re-installing an unchanged route set allocates nothing.
+  template <typename Routes>
+  void replace_routes(const Routes& routes) {
+    auto it = next_hops_.begin();
+    for (const auto& r : routes) {
+      while (it != next_hops_.end() && it->first < r.dest) it = next_hops_.erase(it);
+      if (it == next_hops_.end() || r.dest < it->first)
+        it = next_hops_.emplace_hint(it, r.dest, std::vector<naming::Address>{});
+      it->second.assign(r.hops.begin(), r.hops.end());
+      ++it;
+    }
+    next_hops_.erase(it, next_hops_.end());
+    memo_hops_ = nullptr;
+    memo_ports_ = nullptr;
+  }
+
   void set_neighbor_ports(naming::Address neighbor, std::vector<PortIndex> ports) {
     neighbor_ports_[neighbor] = std::move(ports);
     memo_hops_ = nullptr;

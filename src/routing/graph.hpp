@@ -6,7 +6,10 @@
 // forwarding table's job (step 2, relay/forwarding.hpp).
 //
 // Two SPF modes:
-//   - dijkstra(src): full recompute, the classic.
+//   - dijkstra(src): full recompute, the classic. Ipcp's full re-route
+//     runs UnitSpf (unit_spf.hpp) instead, which gives the same answer
+//     on unit costs without the maps; dijkstra is its test oracle and
+//     seeds incremental mode.
 //   - spf_incremental(src, prev, changes): repair `prev` under a batch
 //     of edge-cost changes. If no changed edge touches any current
 //     shortest path the call is O(changes) and reports skipped=true;
