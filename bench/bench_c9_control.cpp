@@ -1,30 +1,30 @@
-// bench_c9_control — control-plane cost proportional to CHANGE, not
-// SIZE. One DIF of R regions (anchor + spokes per region, anchors in a
-// ring) is driven through a seeded churn script — app mobility plus
-// link flaps — under three control-plane arrangements:
+// bench_c9_control — directory cost proportional to CHANGE, not SIZE.
+// One DIF of R regions (anchor + spokes per region, anchors in a ring) is
+// driven through a seeded churn script — app mobility plus link flaps —
+// under two control-plane arrangements:
 //
 //   flat   — every registration, unregistration and LSU floods to all
 //            N members as a Sync of that one record (there are no DirUpd
-//            floods), and every LSU triggers a full Dijkstra at every
-//            member: cost ~ O(N) per event. A link that comes back
+//            floods): cost ~ O(N) per event. A link that comes back
 //            resyncs its two ends: each hands the other its directory
 //            and LSDB records in one Sync (~22 B a record, one PDU up to
 //            ~2,500 records), and a member floods what was news on as
 //            one Sync, never one message per record.
-//   inc    — flat flooding plus incremental_spf: SPF repairs only the
-//            affected subtrees (or skips entirely when a change touches
-//            no shortest path). The bytes on the wire are flat's.
-//   hier   — inc plus dir_hierarchical: registrations go only to the
+//   hier   — flat plus dir_hierarchical: registrations go only to the
 //            resolver chain (region anchor -> root); members resolve by
 //            querying up and cache with a TTL; mobility invalidates
-//            caches with a targeted flood. Per-event cost ~ O(change).
+//            caches with a targeted flood. Per-move cost ~ O(change).
+//
+// Routing is the same in both: every LSU makes every member re-derive
+// all N routes with the unit-cost SPF kernel, once as a flapped link goes
+// down and once as it returns, so SPF vtx/evt is ~2N^2 in either row.
 //
 // Metrics per (size, arrangement): bring-up control KB, control bytes
 // per churn event, directory convergence after the last move, name
 // resolution latency p50/p99 (sim time, cold misses and warm cache
-// hits mixed), SPF runs per churn event, and duplicate LSDB and
-// directory records suppressed by the (origin, seq) guard and the
-// directory's version stamps.
+// hits mixed), SPF runs and vertices re-derived per flap, and duplicate
+// LSDB and directory records suppressed by the (origin, seq) guard and
+// the directory's version stamps.
 //
 // The flap window is a gate: the bench aborts if any member's RMT
 // tail-drops a PDU during it (a resync outgrowing a port's egress queue).
@@ -53,12 +53,11 @@ std::uint64_t splitmix64(std::uint64_t& s) {
   return z ^ (z >> 31);
 }
 
-enum class Mode { flat, inc, hier };
+enum class Mode { flat, hier };
 
 const char* mode_name(Mode m) {
   switch (m) {
     case Mode::flat: return "flat flood + full SPF";
-    case Mode::inc: return "flat flood + inc. SPF";
     case Mode::hier: return "  + hierarchical names";
   }
   return "?";
@@ -105,7 +104,6 @@ Out run_point(const Shape& s, Mode mode) {
   const naming::DifName dif{kDif};
 
   node::DifSpec spec = mk_dif(kDif, {});
-  if (mode != Mode::flat) spec.cfg.incremental_spf = true;
   if (mode == Mode::hier) {
     spec.cfg.dir_hierarchical = true;
     spec.cfg.dir_root = naming::Address{1, 1};
@@ -153,8 +151,8 @@ Out run_point(const Shape& s, Mode mode) {
   net.run_for(SimTime::from_ms(300));
 
   // --- churn window A: seeded app mobility. The naming-layer story:
-  // per move, flat/inc tell all N members; hier tells the resolver
-  // chain plus an invalidation flood only when caches could be stale.
+  // per move, flat tells all N members; hier tells the resolver chain
+  // plus an invalidation flood only when caches could be stale.
   const auto dir_events = static_cast<std::uint64_t>(
       std::max(4.0, 16.0 * duration_scale()));
   out.churn_events = dir_events;
@@ -180,9 +178,9 @@ Out run_point(const Shape& s, Mode mode) {
 
   // Convergence of the LAST move, clocked from the re-registration: how
   // long until the directory authorities a resolver would consult all
-  // serve the new binding. flat/inc: every member's replicated
-  // directory; hier: the new home's region anchor and the root (nobody
-  // else needs to know).
+  // serve the new binding. flat: every member's replicated directory;
+  // hier: the new home's region anchor and the root (nobody else needs
+  // to know).
   SimTime conv_start = net.now();
   auto authorities_agree = [&] {
     naming::Address want =
@@ -206,10 +204,10 @@ Out run_point(const Shape& s, Mode mode) {
   out.dir_bytes_per_event =
       static_cast<double>(bytes1 - bytes0) / static_cast<double>(dir_events);
 
-  // --- churn window B: link flaps. The routing-layer story: the LSU
-  // flood itself is O(links) in every arrangement, but full SPF then
-  // re-derives all N destinations at every member while incremental
-  // repair touches only the subtree behind the flapped edge.
+  // --- churn window B: link flaps. The routing-layer story, the same in
+  // both arrangements: the LSU flood is O(links), and every member then
+  // re-derives all N destinations. The returning link's resync is the
+  // part of flap B/evt that must not outgrow a port's egress queue.
   const auto flap_events =
       static_cast<std::uint64_t>(std::max(2.0, 8.0 * duration_scale()));
   out.flap_events = flap_events;
@@ -333,7 +331,7 @@ int main() {
                   "flap B/evt", "converge ms", "res p50 ms", "res p99 ms",
                   "SPF vtx/evt", "dups supp"});
   for (const Shape& s : shapes) {
-    for (Mode mode : {Mode::flat, Mode::inc, Mode::hier}) {
+    for (Mode mode : {Mode::flat, Mode::hier}) {
       if (mode == Mode::flat && s.members() > kFlatCap) {
         std::fprintf(stderr, "flat point N=%d skipped (cap %d)\n",
                      s.members(), kFlatCap);
@@ -360,15 +358,15 @@ int main() {
       "directory and LSDB records each, whose news floods on as one Sync,\n"
       "not one message per record), part of flap B/evt; no flap may cost\n"
       "an RMT drop.\n"
-      "inc floods the same bytes but repairs only the SPF subtree behind\n"
-      "the changed edge — its win is SPF vtx/evt, ~O(subtree) instead of\n"
-      "O(N) per member per flap. hier additionally confines\n"
-      "registrations to the anchor/root chain, resolves by querying up\n"
-      "with TTL caches at the edge, and invalidates down the recorded\n"
-      "query tree — its win is move B/evt, O(interest) instead of O(N).\n"
-      "The claim: hier's move B/evt and the scaled SPF vtx/evt stay\n"
-      "~flat as N grows 240 -> 1008, while flat's columns grow with N;\n"
-      "the price is the first-touch resolution RTT in res p50/p99.\n");
+      "hier additionally confines registrations to the anchor/root chain,\n"
+      "resolves by querying up with TTL caches at the edge, and\n"
+      "invalidates down the recorded query tree — its win is move B/evt,\n"
+      "O(interest) instead of O(N). Routing is the same in both rows:\n"
+      "a flap makes every member re-derive all N routes as the link goes\n"
+      "down and again as it returns, so SPF vtx/evt is ~2N^2.\n"
+      "The claim: hier's move B/evt stays ~flat as N grows 240 -> 1008,\n"
+      "while flat's grows with N; the price is the first-touch\n"
+      "resolution RTT in res p50/p99.\n");
   emit_json(rows);
   return 0;
 }

@@ -52,7 +52,7 @@ struct DifConfig {
   /// per foreign region).
   bool aggregate_regions = false;
 
-  /// --- Control plane at scale (both default off: flat flooding) ---
+  /// --- Control plane at scale (default off: flat flooding) ---
 
   /// Hierarchical directory resolution. Registrations go *only* to the
   /// member's region anchor (address {region, 1}) and the DIF root
@@ -63,13 +63,6 @@ struct DifConfig {
   bool dir_hierarchical = false;
   naming::Address dir_root{};       // null = the anchor is the top
   SimTime dir_cache_ttl = SimTime::from_ms(2000);  // cache of 4096 names
-
-  /// Incremental SPF: repair the previous shortest-path tree from the
-  /// edge deltas an LSU implies — skipping entirely when no changed
-  /// edge is on a current shortest path — instead of recomputing the
-  /// whole graph per event. (Ignored under aggregate_regions, which
-  /// needs the full per-region pass.)
-  bool incremental_spf = false;
 };
 
 inline std::vector<flow::QosCube> default_cubes() {

@@ -648,8 +648,6 @@ std::optional<naming::Address> Ipcp::apply_lsu(BufReader& r) {
   neighbors.reserve(n);
   for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(list));
   LsuRecord& rec = lsdb_[origin];
-  if (use_incremental_spf())
-    note_lsu_edge_changes(origin, rec.neighbors, neighbors);
   rec.seq = seq;
   rec.neighbors = std::move(neighbors);
   return origin;
@@ -662,18 +660,14 @@ void Ipcp::schedule_spf() {
 
 void Ipcp::run_spf() {
   if (!enrolled_ || address_.is_null()) return;
-  if (use_incremental_spf()) {
-    run_spf_incremental();
-    return;
-  }
   stats_.inc("spf_runs");
 
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
   for (const Port& p : ports_)
     if (usable(p)) spf.add_link(address_, p.peer);
   std::vector<routing::UnitSpf::Route>& routes = spf.solve(address_, lsdb_);
-  // A full run re-derives every destination — the comparable work unit
-  // incremental repair reports per touched vertex.
+  // Every run re-derives every reachable destination; c9's SPF vtx/evt
+  // and the benchmark's routing.spf_vertices read this count.
   stats_.inc("spf_vertices_recomputed", routes.size());
   if (cfg_.aggregate_regions) aggregate_foreign_regions(routes, address_.region);
   rmt_.fib_.replace_routes(routes);
@@ -870,11 +864,6 @@ void Ipcp::leave(bool teardown_flows) {
   pending_resolve_.clear();  // each query's timer dies with it
   dir_cache_.clear();
   dir_interest_.clear();
-  spf_seeded_ = false;
-  pending_edge_changes_.clear();
-  graph_.clear();
-  graph_my_neighbors_.clear();
-  spf_prev_ = routing::SpfResult{};
   stats_.inc("departures");
 }
 
@@ -1212,99 +1201,6 @@ void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
     dir_cache_.insert(app, at, sched().now());
   }
   finish_dir_query(app, res);
-}
-
-// ------------------------- incremental SPF -------------------------
-//
-// cfg.incremental_spf: keep the topology graph and previous SP tree
-// live; an LSU turns into edge deltas (note_lsu_edge_changes) and the
-// debounced run repairs only the affected subtrees — or skips outright
-// when no changed edge touches a shortest path. The tentpole's routing
-// layer.
-
-void Ipcp::note_lsu_edge_changes(naming::Address origin,
-                                 const std::vector<naming::Address>& old_n,
-                                 const std::vector<naming::Address>& new_n) {
-  if (!spf_seeded_) return;  // first run builds the graph wholesale
-  for (auto n : new_n) {
-    if (std::find(old_n.begin(), old_n.end(), n) != old_n.end()) continue;
-    routing::EdgeChange c;
-    c.from = origin;
-    c.to = n;
-    c.old_cost = graph_.edge_cost(origin, n);
-    c.new_cost = 1;
-    if (c.old_cost == c.new_cost) continue;
-    graph_.set_edge(origin, n, 1);
-    pending_edge_changes_.push_back(c);
-  }
-  for (auto n : old_n) {
-    if (std::find(new_n.begin(), new_n.end(), n) != new_n.end()) continue;
-    routing::EdgeChange c;
-    c.from = origin;
-    c.to = n;
-    c.old_cost = graph_.edge_cost(origin, n);
-    c.new_cost = routing::kInfinity;
-    if (c.old_cost == routing::kInfinity) continue;
-    graph_.remove_edge(origin, n);
-    pending_edge_changes_.push_back(c);
-  }
-}
-
-void Ipcp::run_spf_incremental() {
-  // My own adjacency set diffs just like a neighbor's LSU would.
-  std::vector<naming::Address> now_set;
-  for (const auto& [addr, ports] : live_neighbors()) now_set.push_back(addr);
-  if (spf_seeded_) {
-    note_lsu_edge_changes(address_, graph_my_neighbors_, now_set);
-    graph_my_neighbors_ = now_set;
-  }
-
-  if (!spf_seeded_) {
-    graph_.clear();
-    for (auto n : now_set) graph_.add_edge(address_, n, 1);
-    for (const auto& [origin, rec] : lsdb_) {
-      if (origin == address_) continue;
-      for (auto n : rec.neighbors) graph_.add_edge(origin, n, 1);
-    }
-    graph_my_neighbors_ = std::move(now_set);
-    spf_prev_ = graph_.dijkstra(address_);
-    spf_seeded_ = true;
-    pending_edge_changes_.clear();
-    stats_.inc("spf_runs");
-    stats_.inc("spf_full_runs");
-    rmt_.fib_.clear_routes();
-    for (auto& [dest, entry] : spf_prev_.entries)
-      rmt_.fib_.set_next_hops(dest, entry.next_hops);
-    return;
-  }
-
-  if (pending_edge_changes_.empty()) {
-    stats_.inc("spf_skipped");
-    return;
-  }
-  std::vector<routing::EdgeChange> changes = std::move(pending_edge_changes_);
-  pending_edge_changes_.clear();
-  routing::SpfDelta delta;
-  routing::SpfResult next =
-      graph_.spf_incremental(address_, spf_prev_, changes, delta);
-  if (delta.skipped) {
-    // No changed edge touched a shortest path: the tree stands.
-    stats_.inc("spf_skipped");
-    return;
-  }
-  stats_.inc("spf_runs");
-  stats_.inc("spf_incremental_runs");
-  stats_.inc("spf_vertices_recomputed", delta.recomputed);
-  // Patch the FIB only where the tree moved.
-  for (auto dest : delta.removed)
-    if (dest != address_) rmt_.fib_.remove_route(dest);
-  for (auto dest : delta.changed) {
-    if (dest == address_) continue;
-    auto it = next.entries.find(dest);
-    if (it != next.entries.end())
-      rmt_.fib_.set_next_hops(dest, it->second.next_hops);
-  }
-  spf_prev_ = std::move(next);
 }
 
 // ============================== Rmt ==============================

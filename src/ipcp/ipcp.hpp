@@ -38,7 +38,6 @@
 #include "naming/names.hpp"
 #include "relay/forwarding.hpp"
 #include "rib/riep.hpp"
-#include "routing/graph.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rina::ipcp {
@@ -419,13 +418,6 @@ class Ipcp {
   void flood(const rib::RiepMessage& m, std::optional<relay::PortIndex> except);
   void flood(std::vector<Bytes> chunks, std::optional<relay::PortIndex> except);  // as Syncs
   void run_spf();
-  void run_spf_incremental();
-  [[nodiscard]] bool use_incremental_spf() const {
-    return cfg_.incremental_spf && !cfg_.aggregate_regions;
-  }
-  void note_lsu_edge_changes(naming::Address origin,
-                             const std::vector<naming::Address>& old_n,
-                             const std::vector<naming::Address>& new_n);
   void rebuild_neighbor_ports();
   [[nodiscard]] std::map<naming::Address, std::vector<relay::PortIndex>>
   live_neighbors() const;
@@ -483,15 +475,6 @@ class Ipcp {
   // the resolver chain). Invalidations cascade down these edges instead
   // of flooding the DIF, so a mobility event costs O(actual interest).
   std::map<naming::AppName, std::map<naming::Address, SimTime>> dir_interest_;
-
-  // Incremental SPF state (use_incremental_spf()): the live graph
-  // mirror, the last SPF result to repair from, and the edge deltas
-  // accumulated since (from LSUs and my own adjacency diffs).
-  routing::Graph graph_;
-  routing::SpfResult spf_prev_;
-  bool spf_seeded_ = false;
-  std::vector<routing::EdgeChange> pending_edge_changes_;
-  std::vector<naming::Address> graph_my_neighbors_;
 
   // Owned timers replace the scheduled/alive-token flags: armed() is the
   // "already scheduled" test and destruction is the cancellation.

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -171,8 +170,6 @@ class EgressQueues {
 
 class ForwardingTable {
  public:
-  using PortUpFn = std::function<bool(PortIndex)>;
-
   void set_next_hops(naming::Address dest, std::vector<naming::Address> hops) {
     next_hops_[dest] = std::move(hops);
     memo_hops_ = nullptr;
@@ -204,28 +201,8 @@ class ForwardingTable {
     memo_ports_ = nullptr;
   }
 
-  /// Drop one destination's routing entry (incremental SPF repairs the
-  /// table in place instead of clear_routes + full repopulate).
-  void remove_route(naming::Address dest) {
-    next_hops_.erase(dest);
-    memo_hops_ = nullptr;
-    memo_ports_ = nullptr;
-  }
-
   void set_poa_policy(PoaPolicy p) { policy_ = p; }
   [[nodiscard]] PoaPolicy poa_policy() const { return policy_; }
-
-  void clear_routes() {
-    next_hops_.clear();
-    memo_hops_ = nullptr;
-    memo_ports_ = nullptr;
-  }
-  void clear() {
-    next_hops_.clear();
-    neighbor_ports_.clear();
-    memo_hops_ = nullptr;
-    memo_ports_ = nullptr;
-  }
 
   [[nodiscard]] std::size_t entry_count() const { return next_hops_.size(); }
 

@@ -19,9 +19,11 @@
 #include <vector>
 
 #include "naming/names.hpp"
-#include "routing/graph.hpp"
 
 namespace rina::routing {
+
+/// A path length. UnitSpf's are hop counts; Graph's may be any weight.
+using Cost = std::uint32_t;
 
 class UnitSpf {
  public:

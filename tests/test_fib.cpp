@@ -1,8 +1,8 @@
 // test_fib — Dijkstra with equal-cost sets, two-step forwarding lookups
 // (late PoA binding, round-robin), region aggregation, the directory and
-// its version stamps, incremental SPF against full Dijkstra, the
-// unit-cost SPF kernel against Dijkstra, and the FIB's in-place route
-// replace, which with the kernel allocates nothing once warm.
+// its version stamps, the unit-cost SPF kernel against Dijkstra, and the
+// FIB's in-place route replace, which with the kernel allocates nothing
+// once warm.
 #include "naming/directory.hpp"
 #include "relay/forwarding.hpp"
 #include "routing/graph.hpp"
@@ -13,7 +13,6 @@
 #include <map>
 #include <new>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
@@ -149,189 +148,6 @@ static void directory() {
   CHECK(dir.stamp_of(app).version == 2 && dir.stamps().size() == 1);
   CHECK(dir.apply(app, b, Stamp{3, b}));
   CHECK(dir.lookup(app).value() == b);
-}
-
-// --- incremental SPF ---
-
-// dist must match exactly; next-hop/parent *sets* must match (repair
-// order may differ from dijkstra's discovery order).
-static bool same_result(const routing::SpfResult& a,
-                        const routing::SpfResult& b) {
-  if (a.entries.size() != b.entries.size()) return false;
-  for (const auto& [dest, ea] : a.entries) {
-    auto it = b.entries.find(dest);
-    if (it == b.entries.end()) return false;
-    const auto& eb = it->second;
-    if (ea.dist != eb.dist) return false;
-    std::set<Address> ha(ea.next_hops.begin(), ea.next_hops.end());
-    std::set<Address> hb(eb.next_hops.begin(), eb.next_hops.end());
-    if (ha != hb) return false;
-  }
-  return true;
-}
-
-static void add_biedge(routing::Graph& g, Address u, Address v,
-                       routing::Cost c) {
-  g.add_edge(u, v, c);
-  g.add_edge(v, u, c);
-}
-
-static void spf_incremental_matches_dijkstra() {
-  // Ring with a chord: a-b-c-d-e-a plus b-e.
-  routing::Graph g;
-  Address a{1, 1}, b{1, 2}, c{1, 3}, d{1, 4}, e{1, 5};
-  add_biedge(g, a, b, 1);
-  add_biedge(g, b, c, 1);
-  add_biedge(g, c, d, 1);
-  add_biedge(g, d, e, 1);
-  add_biedge(g, e, a, 1);
-  add_biedge(g, b, e, 1);
-  routing::SpfResult prev = g.dijkstra(a);
-
-  // Worsen a tight edge, improve another, and add a brand-new vertex —
-  // one batch, compared against a fresh full run.
-  std::vector<routing::EdgeChange> ch;
-  g.set_edge(b, c, 5);
-  g.set_edge(c, b, 5);
-  ch.push_back({b, c, 1, 5});
-  ch.push_back({c, b, 1, 5});
-  Address f{1, 6};
-  g.add_edge(d, f, 1);
-  g.add_edge(f, d, 1);
-  ch.push_back({d, f, routing::kInfinity, 1});
-  ch.push_back({f, d, routing::kInfinity, 1});
-
-  routing::SpfDelta delta;
-  routing::SpfResult inc = g.spf_incremental(a, prev, ch, delta);
-  CHECK(!delta.skipped);
-  CHECK(same_result(inc, g.dijkstra(a)));
-  CHECK(delta.recomputed > 0);
-}
-
-static void spf_incremental_skips_off_tree_changes() {
-  // Square a-b-c-d-a with a costly diagonal b-d that no shortest path
-  // from `a` uses: worsening it further must be recognised as a no-op.
-  routing::Graph g;
-  Address a{1, 1}, b{1, 2}, c{1, 3}, d{1, 4};
-  add_biedge(g, a, b, 1);
-  add_biedge(g, b, c, 1);
-  add_biedge(g, c, d, 1);
-  add_biedge(g, d, a, 1);
-  add_biedge(g, b, d, 10);
-  routing::SpfResult prev = g.dijkstra(a);
-
-  g.set_edge(b, d, 20);
-  g.set_edge(d, b, 20);
-  routing::SpfDelta delta;
-  routing::SpfResult inc = g.spf_incremental(
-      a, prev, {{b, d, 10, 20}, {d, b, 10, 20}}, delta);
-  CHECK(delta.skipped);
-  CHECK(delta.recomputed == 0);
-  CHECK(same_result(inc, g.dijkstra(a)));
-}
-
-static void spf_incremental_reports_unreachable() {
-  // Chain a-b-c; cutting b-c strands c and the delta must say so, so
-  // the FIB can drop the route instead of keeping a ghost entry.
-  routing::Graph g;
-  Address a{1, 1}, b{1, 2}, c{1, 3};
-  add_biedge(g, a, b, 1);
-  add_biedge(g, b, c, 1);
-  routing::SpfResult prev = g.dijkstra(a);
-
-  g.remove_edge(b, c);
-  g.remove_edge(c, b);
-  routing::SpfDelta delta;
-  routing::SpfResult inc = g.spf_incremental(
-      a, prev,
-      {{b, c, 1, routing::kInfinity}, {c, b, 1, routing::kInfinity}}, delta);
-  CHECK(!delta.skipped);
-  CHECK(std::find(delta.removed.begin(), delta.removed.end(), c) !=
-        delta.removed.end());
-  CHECK(inc.entries.find(c) == inc.entries.end());
-  CHECK(inc.entries.at(b).dist == 1);
-  CHECK(same_result(inc, g.dijkstra(a)));
-}
-
-// Differential oracle: seeded random edge add/remove/cost streams on
-// c9-shaped graphs (regions of anchor + spokes, anchors in a ring, plus a
-// few spoke chords for equal-cost paths). After every batch the repaired
-// tree must equal a full Dijkstra, and every destination outside the
-// delta's changed/removed lists must keep its previous entry — the FIB
-// is patched from exactly those lists.
-static void spf_incremental_oracle() {
-  std::uint64_t rng = 0x5EEDF00Dull;
-  auto next = [&rng](std::uint64_t n) {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng % n;
-  };
-  int batches = 0, skipped = 0;
-  for (int trial = 0; trial < 40; ++trial) {
-    const int regions = 3 + static_cast<int>(next(6));
-    const int per = 2 + static_cast<int>(next(5));
-    auto node = [](int r, int m) {
-      return Address{static_cast<std::uint16_t>(r + 1), static_cast<std::uint16_t>(m + 1)};
-    };
-    std::vector<std::pair<Address, Address>> pairs;  // the edges a stream may touch
-    routing::Graph g;
-    for (int r = 0; r < regions; ++r) {
-      for (int m = 1; m < per; ++m) pairs.emplace_back(node(r, 0), node(r, m));
-      pairs.emplace_back(node(r, 0), node((r + 1) % regions, 0));
-      pairs.emplace_back(node(r, 1), node((r + 2) % regions, per - 1));
-    }
-    for (std::size_t i = 0; i + 1 < pairs.size(); ++i)  // all but the last chord
-      add_biedge(g, pairs[i].first, pairs[i].second, 1);
-    const Address src = node(static_cast<int>(next(regions)), 0);
-    routing::SpfResult prev = g.dijkstra(src);
-    for (int step = 0; step < 30; ++step) {
-      std::vector<routing::EdgeChange> ch;
-      const int n = 1 + static_cast<int>(next(3));
-      for (int k = 0; k < n; ++k) {
-        auto [u, v] = pairs[next(pairs.size())];
-        if (next(2) == 0) std::swap(u, v);
-        const bool both = next(3) != 0;  // an LSU pair, or one direction only
-        const std::uint64_t kind = next(3);
-        const routing::Cost cost = 1 + static_cast<routing::Cost>(next(4));
-        for (int dir = 0; dir < (both ? 2 : 1); ++dir) {
-          const Address from = dir == 0 ? u : v, to = dir == 0 ? v : u;
-          routing::EdgeChange c{from, to, g.edge_cost(from, to), routing::kInfinity};
-          if (kind == 0) {
-            g.remove_edge(from, to);
-          } else {
-            c.new_cost = kind == 1 ? 1 : cost;
-            g.set_edge(from, to, c.new_cost);
-          }
-          if (c.old_cost != c.new_cost) ch.push_back(c);
-        }
-      }
-      routing::SpfDelta delta;
-      routing::SpfResult inc = g.spf_incremental(src, prev, ch, delta);
-      routing::SpfResult full = g.dijkstra(src);
-      CHECK(same_result(inc, full));
-      std::set<Address> touched(delta.changed.begin(), delta.changed.end());
-      touched.insert(delta.removed.begin(), delta.removed.end());
-      for (const auto& [dest, e] : full.entries) {
-        if (touched.count(dest) != 0) continue;
-        auto it = prev.entries.find(dest);
-        CHECK(it != prev.entries.end());
-        if (it == prev.entries.end()) continue;
-        routing::SpfResult a, b;
-        a.entries[dest] = it->second;
-        b.entries[dest] = e;
-        CHECK(same_result(a, b));
-      }
-      for (const auto& [dest, e] : prev.entries)
-        if (full.entries.count(dest) == 0) CHECK(touched.count(dest) != 0);
-      ++batches;
-      if (delta.skipped) ++skipped;
-      prev = std::move(inc);
-    }
-  }
-  // The streams exercise both the repair and the proven-off-tree skip.
-  CHECK(batches == 40 * 30);
-  CHECK(skipped > 0 && skipped < batches);
 }
 
 // --- unit-cost SPF kernel and the in-place FIB replace ---
@@ -474,7 +290,7 @@ struct TestRoute {
   std::vector<Address> hops;
 };
 
-// The in-place replace leaves the table exactly as clear_routes() plus
+// The in-place replace leaves the table exactly as a fresh table given
 // one set_next_hops() per route would.
 static void fib_replace_matches_rebuild() {
   const Address h1{1, 2}, h2{1, 3}, h3{1, 4};
@@ -491,7 +307,6 @@ static void fib_replace_matches_rebuild() {
   for (const auto& set : sets) {
     merged.replace_routes(set);
     relay::ForwardingTable rebuilt;
-    rebuilt.clear_routes();
     for (const TestRoute& r : set) rebuilt.set_next_hops(r.dest, r.hops);
     CHECK(merged.routes() == rebuilt.routes());
   }
@@ -544,10 +359,6 @@ int main() {
   round_robin_poa();
   region_aggregation();
   directory();
-  spf_incremental_matches_dijkstra();
-  spf_incremental_skips_off_tree_changes();
-  spf_incremental_reports_unreachable();
-  spf_incremental_oracle();
   unit_spf_oracle();
   fib_replace_matches_rebuild();
   fib_replace_drops_memo();
