@@ -11,7 +11,7 @@
 // of browsers), modeled as a seeded Zipf(α) request stream. Three
 // arrangements serve the same workload:
 //   RINA no-cache DIF — one DIF, every interest rides to the origin;
-//   RINA caching DIF  — the *same* DIF with rmt_content_store_enabled:
+//   RINA caching DIF  — the *same* DIF with rmt_content_store_objects:
 //                       relay RMTs answer interest hits from an ARC
 //                       store and insert passing data PDUs. No client,
 //                       origin or topology change — config only;
@@ -107,8 +107,7 @@ Out run_rina(bool caching) {
   // One DIF over everything; the two configurations differ ONLY in the
   // RMT content-store policy knob — that is the experiment.
   node::DifSpec spec = mk_dif("cdn", members);
-  spec.cfg.rmt_content_store_enabled = caching;
-  spec.cfg.rmt_content_store_objects = kCacheObjects;
+  spec.cfg.rmt_content_store_objects = caching ? kCacheObjects : 0;
   naming::DifName dif{"cdn"};
   if (auto r = net.build_link_dif(std::move(spec)); !r.ok()) {
     std::fprintf(stderr, "c8: build_link_dif failed: %s\n",

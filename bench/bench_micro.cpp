@@ -299,9 +299,10 @@ BENCHMARK(BM_TwoStepLookup);
 
 static void BM_DirectoryLookup(benchmark::State& state) {
   naming::Directory dir;
-  for (int i = 0; i < 1000; ++i)
-    dir.add(naming::AppName("app" + std::to_string(i), "1"),
-            naming::Address{1, static_cast<std::uint16_t>(i % 200 + 1)});
+  for (int i = 0; i < 1000; ++i) {
+    naming::Address at{1, static_cast<std::uint16_t>(i % 200 + 1)};
+    dir.apply(naming::AppName("app" + std::to_string(i), "1"), at, {1, at});
+  }
   naming::AppName probe("app777", "1");
   for (auto _ : state) {
     auto hit = dir.lookup(probe);

@@ -27,13 +27,6 @@ class Stats {
  public:
   void inc(const std::string& name, std::uint64_t by = 1) { counters_[name] += by; }
 
-  /// Record a high-water mark: keep the counter at the max value seen
-  /// (peak queue depths and other gauges; read like any counter).
-  void note_max(const std::string& name, std::uint64_t v) {
-    auto& c = counters_[name];
-    if (v > c) c = v;
-  }
-
   /// Stable pointer to a counter's cell. std::map nodes never move, so a
   /// hot path can resolve the name once at construction and bump through
   /// the pointer afterwards, skipping the string lookup per event.
@@ -51,12 +44,6 @@ class Stats {
   void merge(const Stats& other) {
     for (const auto& [k, v] : other.counters_) counters_[k] += v;
   }
-
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
-    return counters_;
-  }
-
-  void clear() { counters_.clear(); }
 
  private:
   std::map<std::string, std::uint64_t> counters_;

@@ -2,8 +2,8 @@
 //
 // The store is a cache of named objects keyed by (application name,
 // object id). It backs two very different deployments from one
-// implementation: a relay IPCP's RMT policy (rmt_content_store_* in the
-// DIF config) and the baseline's explicit CDN middlebox — the point of
+// implementation: a relay IPCP's RMT policy (rmt_content_store_objects in
+// the DIF config) and the baseline's explicit CDN middlebox — the point of
 // the comparison is that the *same* cache either lives inside the DIF as
 // policy or gets bolted on outside as another box.
 //

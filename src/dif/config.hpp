@@ -38,15 +38,15 @@ struct DifConfig {
   std::size_t rmt_queue_pdus = 512;
   std::size_t rmt_ecn_threshold = 0;
 
-  /// RMT content-store policy: when enabled, a member relaying content
+  /// RMT content-store policy: when non-zero, a member relaying content
   /// PDUs (src/content/protocol.hpp) through this DIF keeps an ARC cache
-  /// of the objects it sees. Interests that hit are answered from the
-  /// relay — the PDU never continues toward the origin — and data PDUs
-  /// passing through are inserted opportunistically. Pure per-DIF
-  /// policy: nothing above or below this DIF can tell, which is the
-  /// paper's point about specializing a DIF for a job (here: CDN).
-  bool rmt_content_store_enabled = false;
-  std::size_t rmt_content_store_objects = 1024;  // live entries, no expiry
+  /// of up to this many objects (live entries, no expiry). Interests
+  /// that hit are answered from the relay — the PDU never continues
+  /// toward the origin — and data PDUs passing through are inserted
+  /// opportunistically. Pure per-DIF policy: nothing above or below this
+  /// DIF can tell, which is the paper's point about specializing a DIF
+  /// for a job (here: CDN). 0 = no store.
+  std::size_t rmt_content_store_objects = 0;
 
   /// Route on region prefixes instead of full addresses (one FIB entry
   /// per foreign region).
@@ -55,14 +55,12 @@ struct DifConfig {
   /// --- Control plane at scale (default off: flat flooding) ---
 
   /// Hierarchical directory resolution. Registrations go *only* to the
-  /// member's region anchor (address {region, 1}) and the DIF root
-  /// (dir_root); everyone else resolves on miss by querying up
-  /// (member -> anchor -> root), caching answers with a TTL, and
-  /// honoring unregister/mobility invalidation floods. Replaces the
-  /// flat mode's full directory flood.
+  /// member's region anchor (address {region, 1}) and the DIF root (the
+  /// anchor of region 1); everyone else resolves on miss by querying up
+  /// (member -> anchor -> root), caching answers for 5 s, and honoring
+  /// unregister/mobility invalidations. Replaces the flat mode's full
+  /// directory flood; both modes apply every record by its stamp.
   bool dir_hierarchical = false;
-  naming::Address dir_root{};       // null = the anchor is the top
-  SimTime dir_cache_ttl = SimTime::from_ms(2000);  // cache of 4096 names
 };
 
 inline std::vector<flow::QosCube> default_cubes() {

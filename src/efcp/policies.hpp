@@ -61,13 +61,13 @@ struct EfcpPolicies {
   double vegas_alpha = 2.0;
   double vegas_beta = 4.0;
 
-  /// Mechanism profile by policy name. Unknown names are an error — a
-  /// typo in a DIF config must surface at connection setup, not run
-  /// silently with default timers.
+  /// Mechanism profile by policy name: a DTP profile, or a DTCP
+  /// discipline (set_tx_policy) on the default one. Unknown names are an
+  /// error — a typo in a DIF config must surface at connection setup,
+  /// not run silently with default timers.
   static Result<EfcpPolicies> from_policy_name(const std::string& name) {
     EfcpPolicies p;
-    if (name.empty() || name == "reliable" || name == "static_window")
-      return p;
+    if (name == "reliable") return p;
     if (name == "unreliable") {
       p.reliable = false;
       p.in_order = false;
@@ -81,23 +81,9 @@ struct EfcpPolicies {
       p.max_rto = SimTime::from_ms(50);
       return p;
     }
-    if (name == "aimd_ecn") {
-      p.tx_policy = TxPolicy::aimd_ecn;
-      return p;
-    }
-    if (name == "rate_based") {
-      p.tx_policy = TxPolicy::rate_based;
-      return p;
-    }
-    if (name == "cubic") {
-      p.tx_policy = TxPolicy::cubic;
-      return p;
-    }
-    if (name == "delay_based") {
-      p.tx_policy = TxPolicy::delay_based;
-      return p;
-    }
-    return {Err::not_found, "unknown EFCP policy name: " + name};
+    if (!p.set_tx_policy(name).ok())
+      return {Err::not_found, "unknown EFCP policy name: " + name};
+    return p;
   }
 
   /// Select the DTCP discipline by name (the QoS cube's dtcp_policy

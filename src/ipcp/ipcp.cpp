@@ -21,9 +21,8 @@ constexpr SimTime kJoinTimeout = SimTime::from_ms(600);
 constexpr SimTime kJoinRetryGap = SimTime::from_ms(120);
 constexpr SimTime kLsuDebounce = SimTime::from_ms(1);
 constexpr SimTime kSpfDebounce = SimTime::from_ms(8);
-constexpr SimTime kDrainRetry = SimTime::from_us(200);
-// Directory lookups are local to the IPCP's replica, so polling for an
-// entry (or for our own enrollment) costs nothing on the wire.
+// A flow request whose name did not resolve (not registered yet, or this
+// member not enrolled yet) resolves again after this gap.
 constexpr SimTime kAllocRetry = SimTime::from_ms(10);
 constexpr SimTime kAllocResend = SimTime::from_ms(500);
 constexpr SimTime kAllocDeadline = SimTime::from_sec(8);
@@ -36,7 +35,7 @@ constexpr int kMaxReleaseAttempts = 4;
 constexpr SimTime kRmtPollGap = SimTime::from_us(400);
 constexpr int kMaxJoinAttempts = 3;
 // Hierarchical directory queries: retry against routing convergence,
-// then report the miss (the flow allocator keeps polling on its own).
+// then report the miss (the flow allocator retries a miss on its own).
 constexpr SimTime kDirQueryRetry = SimTime::from_ms(50);
 constexpr int kMaxDirQueryAttempts = 4;
 constexpr std::size_t kMaxDirInterest = 128;
@@ -44,6 +43,9 @@ constexpr std::uint64_t kHelloNonce = 0x48454c4c4f754c4cULL;
 // An adjacency is dead after this many keepalive intervals of silence.
 constexpr int kKeepaliveMisses = 3;
 constexpr std::size_t kDirCacheEntries = 4096;  // resolved names cached per member
+constexpr SimTime kDirCacheTtl = SimTime::from_sec(5);
+// The top of every hierarchical resolver chain: region 1's anchor.
+constexpr naming::Address kDirRoot{1, 1};
 // A Sync chunk stays comfortably inside the PCI's u16 payload length
 // (there is no fragmentation); larger state goes in more chunks.
 constexpr std::size_t kSnapshotBudget = 56000;
@@ -234,14 +236,14 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
       rmt_(*this),
       fa_(*this),
       enrollment_(*this),
-      dir_cache_(cfg.dir_cache_ttl, kDirCacheEntries) {
+      dir_cache_(kDirCacheTtl, kDirCacheEntries) {
   c_hellos_sent_ = stats_.slot("hellos_sent");
   c_keepalives_sent_ = stats_.slot("keepalives_sent");
   c_lsus_flooded_ = stats_.slot("lsus_flooded");
   c_riep_sent_ = stats_.slot("riep_sent");
   c_mgmt_bytes_ = stats_.slot("mgmt_bytes_sent");
   if (cfg_.cubes.empty()) cfg_.cubes = dif::default_cubes();
-  if (cfg_.rmt_content_store_enabled && cfg_.rmt_content_store_objects > 0)
+  if (cfg_.rmt_content_store_objects > 0)
     cstore_ = std::make_unique<content::ContentStore>(cfg_.rmt_content_store_objects);
 }
 
@@ -855,13 +857,18 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
 void Ipcp::leave(bool teardown_flows) {
   if (!enrolled_) return;
   fa_.close_all(teardown_flows);
+  // Each query in flight ends as a miss, so its callers hear exactly once
+  // (a flow allocation then retries until its deadline).
+  std::map<naming::AppName, PendingResolve> queries = std::move(pending_resolve_);
+  pending_resolve_.clear();
+  for (auto& [app, q] : queries)
+    for (ResolveCb& cb : q.cbs) cb(std::nullopt);
   const rib::RiepMessage bye{RiepOp::stop, ObjClass::bye};
   for (std::size_t i = 0; i < ports_.size(); ++i)
     if (usable(ports_[i])) send_mgmt(static_cast<relay::PortIndex>(i), bye);
   enrolled_ = false;
   departed_ = true;
   keepalive_timer_.cancel();
-  pending_resolve_.clear();  // each query's timer dies with it
   dir_cache_.clear();
   dir_interest_.clear();
   stats_.inc("departures");
@@ -870,12 +877,17 @@ void Ipcp::leave(bool teardown_flows) {
 // --------------------------- directory ---------------------------
 
 void Ipcp::publish_dir_change(const naming::AppName& app, bool bound) {
-  // The publisher's next version of the name: it beats every binding and
-  // tombstone this member has seen, so a move here overrides the old home.
-  naming::Directory::Stamp s{dir_.stamp_of(app).version + 1, address_};
+  // The publisher's next version of the name beats every binding and
+  // tombstone this member has seen, and the clock beats every version
+  // published before now, even one this member never saw: a hierarchical
+  // authority hears from both homes of a moved name, a publisher only
+  // from itself. Members share the simulator's clock; a real DIF would
+  // need loosely synchronised ones.
+  auto now = static_cast<std::uint64_t>(sched().now().ns);
+  naming::Directory::Stamp s{std::max(dir_.stamp_of(app).version + 1, now), address_};
   std::optional<naming::Address> at;
   if (bound) at = address_;
-  (void)dir_.apply(app, at, s);
+  (void)apply_dir_record(app, at, s);
   if (cfg_.dir_hierarchical) {
     // Registration state lives only on the resolver chain (region
     // anchor + root); nobody floods, everyone else resolves on demand.
@@ -907,31 +919,25 @@ void Ipcp::publish_app(const naming::AppName& app) {
   }
 }
 
-void Ipcp::unpublish_app(const naming::AppName& app) {
-  std::optional<naming::Address> was = dir_.lookup(app);
-  publish_dir_change(app, false);
-  // Mobility/unregister under hierarchical naming: every cached copy of
-  // the old binding must die. The authorities cascade the invalidation
-  // down their interest lists when the remove reaches them; here only
-  // local state is left.
-  if (cfg_.dir_hierarchical && was) cascade_dir_inval(app, *was);
+void Ipcp::unpublish_app(const naming::AppName& app) { publish_dir_change(app, false); }
+
+bool Ipcp::apply_dir_record(const naming::AppName& app, std::optional<naming::Address> at,
+                            naming::Directory::Stamp s) {
+  std::optional<naming::Address> old = dir_.lookup(app);
+  if (!dir_.apply(app, at, s)) return false;
+  // Losing (or rebinding) an entry kills every cached copy of the old
+  // binding: mine, and via an authority's interest list everyone who
+  // resolved the name through me — mobility costs O(who actually asked),
+  // not O(members). Flat DIFs cache nothing and are never asked.
+  if (old && old != at) cascade_dir_inval(app, *old);
+  return true;
 }
 
 void Ipcp::apply_dir_update(const rib::RiepMessage& m) {
   BufReader r(BytesView{m.value});
   DirRecord d = get_dir_record(r);
   if (!r.ok() || d.stamp.origin.is_null() || d.stamp.origin == address_) return;
-  // Hierarchical authorities apply targeted updates in arrival order: a
-  // publisher elsewhere in the DIF never saw the name's last version.
-  std::optional<naming::Address> old = dir_.lookup(d.app);
-  if (d.at)
-    dir_.add(d.app, *d.at);
-  else
-    dir_.remove(d.app);
-  // An authority losing (or rebinding) an entry kills every cached copy
-  // of the old binding via its interest list — mobility costs O(who
-  // actually resolved the name), not O(members).
-  if (old && old != d.at) cascade_dir_inval(d.app, *old);
+  (void)apply_dir_record(d.app, d.at, d.stamp);
 }
 
 // ------------------------- replicated state -------------------------
@@ -981,7 +987,7 @@ bool Ipcp::apply_sync(relay::PortIndex from, const rib::RiepMessage& m) {
   for (std::uint16_t i = 0; i < ndir && r.ok(); ++i) {
     DirRecord d = get_dir_record(r);
     if (!r.ok() || d.stamp.origin.is_null() || d.stamp.origin == address_) continue;
-    if (dir_.apply(d.app, d.at, d.stamp))
+    if (apply_dir_record(d.app, d.at, d.stamp))
       dir_news.push_back(std::move(d));
     else
       stats_.inc("dir_dups_suppressed");
@@ -1015,52 +1021,31 @@ bool Ipcp::apply_sync(relay::PortIndex from, const rib::RiepMessage& m) {
 naming::Address Ipcp::resolver_parent() const {
   naming::Address anchor = dir_anchor();
   if (address_ != anchor) return anchor;
-  if (!cfg_.dir_root.is_null() && address_ != cfg_.dir_root)
-    return cfg_.dir_root;
+  if (address_ != kDirRoot) return kDirRoot;
   return naming::Address{};  // I am the top of the chain
-}
-
-std::optional<naming::Address> Ipcp::dir_cache_lookup(const naming::AppName& app) {
-  auto at = dir_cache_.lookup(app, sched().now());
-  if (at)
-    stats_.inc("dir_cache_hits");
-  else
-    stats_.inc("dir_cache_misses");
-  return at;
 }
 
 void Ipcp::resolve_name(const naming::AppName& app, ResolveCb cb) {
   if (auto at = dir_.lookup(app)) {
-    if (cb) cb(at);
+    cb(at);
     return;
   }
   if (!cfg_.dir_hierarchical || !enrolled_) {
-    if (cb) cb(std::nullopt);
+    cb(std::nullopt);
     return;
   }
-  if (auto at = dir_cache_lookup(app)) {
-    if (cb) cb(at);
+  if (auto at = dir_cache_.lookup(app, sched().now())) {
+    stats_.inc("dir_cache_hits");
+    cb(at);
     return;
   }
+  stats_.inc("dir_cache_misses");
   if (resolver_parent().is_null()) {
     // Authoritative miss: nobody above me to ask.
-    if (cb) cb(std::nullopt);
+    cb(std::nullopt);
     return;
   }
   start_dir_query(app, std::move(cb));
-}
-
-std::optional<naming::Address> Ipcp::dir_lookup_for_alloc(
-    const naming::AppName& app) {
-  if (auto at = dir_.lookup(app)) return at;
-  if (!cfg_.dir_hierarchical || !enrolled_) return std::nullopt;
-  // The allocator polls; while a query is in flight, just miss quietly
-  // (one counted cache miss per query cycle, not per poll).
-  if (pending_resolve_.count(app) != 0) return std::nullopt;
-  if (auto at = dir_cache_lookup(app)) return at;
-  if (resolver_parent().is_null()) return std::nullopt;
-  start_dir_query(app, ResolveCb{});  // cache-warming query
-  return std::nullopt;
 }
 
 void Ipcp::start_dir_query(const naming::AppName& app, ResolveCb cb) {
@@ -1101,8 +1086,7 @@ void Ipcp::finish_dir_query(const naming::AppName& app,
   it->second.timer.cancel();
   std::vector<ResolveCb> cbs = std::move(it->second.cbs);
   pending_resolve_.erase(it);
-  for (auto& cb : cbs)
-    if (cb) cb(result);
+  for (ResolveCb& cb : cbs) cb(result);
 }
 
 void Ipcp::send_targeted_dir_update(const naming::AppName& app,
@@ -1115,9 +1099,7 @@ void Ipcp::send_targeted_dir_update(const naming::AppName& app,
   stats_.inc("dir_targeted_updates");
   naming::Address anchor = dir_anchor();
   if (anchor != address_ && !anchor.is_null()) send_routed_mgmt(anchor, m);
-  if (!cfg_.dir_root.is_null() && cfg_.dir_root != address_ &&
-      cfg_.dir_root != anchor)
-    send_routed_mgmt(cfg_.dir_root, m);
+  if (kDirRoot != address_ && kDirRoot != anchor) send_routed_mgmt(kDirRoot, m);
 }
 
 void Ipcp::send_dir_inval(naming::Address to, const naming::AppName& app,
@@ -1139,7 +1121,7 @@ void Ipcp::cascade_dir_inval(const naming::AppName& app, naming::Address at) {
   // cached entry any more — let it age out silently.
   SimTime now = sched().now();
   for (const auto& [who, when] : it->second)
-    if (now - when < cfg_.dir_cache_ttl && who != address_)
+    if (now - when < kDirCacheTtl && who != address_)
       send_dir_inval(who, app, at);
   dir_interest_.erase(it);
 }
@@ -1151,11 +1133,9 @@ void Ipcp::handle_dir_inval(const rib::RiepMessage& m) {
   naming::Address at = get_addr(r);
   if (!r.ok() || origin.is_null()) return;
   if (origin == address_) return;
-  // Drop a stale authoritative binding too — unless a newer
-  // registration already replaced it.
-  if (dir_.lookup(app) == std::optional<naming::Address>{at}) dir_.remove(app);
   // Kill the local cached copy and pass the invalidation further down
-  // the query tree (whoever resolved through this node).
+  // the query tree (whoever resolved through this node). An authority's
+  // own binding changes only by a stamped record.
   cascade_dir_inval(app, at);
 }
 
@@ -1273,14 +1253,8 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   }
   if (std::uint64_t pk = p.queue.peak(); pk > *c_rmt_queue_peak_)
     *c_rmt_queue_peak_ = pk;
-  schedule_drain(port);
-}
-
-void Rmt::schedule_drain(relay::PortIndex port) {
-  Ipcp::Port& p = self_.ports_[port];
-  if (p.drain_timer.armed()) return;
-  p.drain_timer =
-      self_.sched().schedule_after(kDrainRetry, [this, port] { drain(port); });
+  // The frame waits for port_ready: the attachment that refused it says
+  // when it can take more (a wire's on_ready, a lower flow's on_writable).
 }
 
 void Rmt::drain(relay::PortIndex port) {
@@ -1289,7 +1263,6 @@ void Rmt::drain(relay::PortIndex port) {
     if (!p.tx(p.queue.front().frame)) break;
     p.queue.pop();
   }
-  if (!p.queue.empty()) schedule_drain(port);
 }
 
 // ========================= FlowAllocator =========================
@@ -1378,13 +1351,23 @@ void FlowAllocator::allocate(const naming::AppName& local,
 void FlowAllocator::try_pending(std::uint32_t invoke_id) {
   auto it = pending_.find(invoke_id);
   if (it == pending_.end()) return;
-  Pending& pend = it->second;
   // Sending before enrollment completes would stamp the request with a
   // stale (or null) source address; wait like a directory miss.
-  std::optional<naming::Address> addr;
-  if (self_.enrolled_ && !self_.address_.is_null())
-    addr = self_.dir_lookup_for_alloc(pend.remote);
-  if (!addr) {
+  if (!self_.enrolled_ || self_.address_.is_null()) {
+    resolved(invoke_id, std::nullopt);
+    return;
+  }
+  self_.resolve_name(it->second.remote,
+                     [this, invoke_id](std::optional<naming::Address> at) {
+                       resolved(invoke_id, at);
+                     });
+}
+
+void FlowAllocator::resolved(std::uint32_t invoke_id, std::optional<naming::Address> at) {
+  auto it = pending_.find(invoke_id);
+  if (it == pending_.end()) return;
+  Pending& pend = it->second;
+  if (!at) {
     if (self_.sched().now() >= pend.deadline) {
       finish_pending(invoke_id,
                      {Err::not_found, "no directory entry for " +
@@ -1405,8 +1388,7 @@ void FlowAllocator::try_pending(std::uint32_t invoke_id) {
   put_app(w, pend.local);
   put_app(w, pend.remote);
   self_.send_routed_mgmt(
-      *addr, {RiepOp::create, ObjClass::flow_req, invoke_id, std::move(w).take()});
-  pend.sent = true;
+      *at, {RiepOp::create, ObjClass::flow_req, invoke_id, std::move(w).take()});
 
   // Re-try until answered: the request may race routing convergence or
   // the destination may have moved. The timer dies with the Pending, so

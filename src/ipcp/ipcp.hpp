@@ -93,7 +93,6 @@ class Rmt {
   /// Scheduling urgency of a QoS class (lower = sooner): the cube's
   /// declared priority, falling back to the raw id for unknown classes.
   [[nodiscard]] std::uint8_t class_priority(efcp::QosId q) const;
-  void schedule_drain(relay::PortIndex port);
   Ipcp& self_;
   relay::ForwardingTable fib_;
   Stats stats_;
@@ -208,8 +207,7 @@ class FlowAllocator {
     flow::QosCube cube;
     efcp::CepId local_cep = 0;
     SimTime deadline{};
-    bool sent = false;
-    sim::Timer timer;  // directory retry / request resend; dies with us
+    sim::Timer timer;  // miss retry / request resend; dies with us
   };
 
   FlowRec* by_port(flow::PortId p) {
@@ -230,7 +228,11 @@ class FlowAllocator {
     ++flow_count_;
   }
   [[nodiscard]] const flow::QosCube* find_cube(const flow::QosSpec& spec) const;
+  /// Resolve the pending request's name; resolved() takes the answer.
   void try_pending(std::uint32_t invoke_id);
+  /// Send the FlowReq to `at`, or on a miss retry after kAllocRetry
+  /// until the deadline.
+  void resolved(std::uint32_t invoke_id, std::optional<naming::Address> at);
   void finish_pending(std::uint32_t invoke_id, Result<flow::FlowInfo> r);
   void create_connection(FlowRec& rec);
   void deliver_sdu(FlowRec& rec, Packet&& sdu);
@@ -268,7 +270,6 @@ class Ipcp {
   [[nodiscard]] bool enrolled() const { return enrolled_; }
   [[nodiscard]] const dif::DifConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint32_t dif_id() const { return dif_id_; }
-  [[nodiscard]] const naming::DifName& dif_name() const { return cfg_.name; }
   IpcpHost& host() { return host_; }
   sim::Scheduler& sched() { return host_.sched(); }
 
@@ -276,7 +277,7 @@ class Ipcp {
   FlowAllocator& fa() { return fa_; }
   Enrollment& enrollment() { return enrollment_; }
   /// The RMT's content store, or nullptr when the DIF's policy disables
-  /// it (rmt_content_store_enabled).
+  /// it (rmt_content_store_objects == 0).
   content::ContentStore* content_store() { return cstore_.get(); }
   naming::Directory& directory() { return dir_; }
   Stats& stats() { return stats_; }
@@ -292,7 +293,8 @@ class Ipcp {
   struct PortInit {
     /// Transmit one encoded frame on the attachment below. Contract:
     /// false = backpressure and the frame is left intact (the RMT keeps
-    /// it queued and retries); true = consumed (sent or lost).
+    /// it queued until the attachment calls port_ready); true = consumed
+    /// (sent or lost).
     std::function<bool(Packet&)> tx;
     bool is_wire = false;
   };
@@ -300,6 +302,8 @@ class Ipcp {
   void start_port(relay::PortIndex idx);  // announce ourselves (Hello)
   void on_port_frame(relay::PortIndex idx, Packet&& frame);
   void set_port_carrier(relay::PortIndex idx, bool up);
+  /// The attachment can take frames again after refusing one: drain the
+  /// port's RMT queue.
   void port_ready(relay::PortIndex idx);
   [[nodiscard]] bool port_up(relay::PortIndex idx) const;
 
@@ -311,11 +315,13 @@ class Ipcp {
   void publish_app(const naming::AppName& app);
   void unpublish_app(const naming::AppName& app);
 
-  // ---- hierarchical resolution (cfg.dir_hierarchical) ----
+  // ---- name resolution ----
   using ResolveCb = std::function<void(std::optional<naming::Address>)>;
-  /// Resolve a name: local replica, then TTL cache, then a query up the
-  /// resolver chain (member -> region anchor -> root). In flat DIFs this
-  /// degenerates to the local lookup. `cb` fires exactly once.
+  /// Resolve a name: local replica, then (hierarchical DIFs only) TTL
+  /// cache, then a query up the resolver chain (member -> region anchor
+  /// -> root). In flat DIFs this degenerates to the local lookup. `cb`
+  /// is never null and fires exactly once; a query still in flight when
+  /// this member leaves ends as a miss.
   void resolve_name(const naming::AppName& app, ResolveCb cb);
   naming::DirCache& dir_cache() { return dir_cache_; }
   /// My region's resolver anchor: node 1 of my region.
@@ -338,7 +344,6 @@ class Ipcp {
     naming::Address peer;
     relay::EgressQueues queue;  // per-QoS bounded RMT egress above the NIC
     sim::Timer hello_timer;     // Hello re-announce while unanswered
-    sim::Timer drain_timer;     // backpressure retry for queue drain
     SimTime last_heard{};
     std::optional<std::uint64_t> join_nonce;  // member side of psk handshake
   };
@@ -363,11 +368,18 @@ class Ipcp {
   /// Read one link-state record and install it if its (origin, seq) is
   /// news; returns its origin. nullopt = mine, stale, duplicate or bad.
   std::optional<naming::Address> apply_lsu(BufReader& r);
-  /// A targeted write to this directory authority (hierarchical mode),
-  /// applied in arrival order.
+  /// The one write path of the directory, for every record: my own
+  /// publication, an entry a Sync carries, a DirUpd at a hierarchical
+  /// authority. Applies it by its stamp and kills every cached copy of
+  /// the binding it replaced. False = stale or duplicate, no change.
+  bool apply_dir_record(const naming::AppName& app, std::optional<naming::Address> at,
+                        naming::Directory::Stamp s);
+  /// A targeted write to this directory authority (hierarchical mode).
   void apply_dir_update(const rib::RiepMessage& m);
   /// Stamp my directory change to `app` (bind here, or remove) and tell
-  /// the DIF: a flood, or the resolver chain when hierarchical.
+  /// the DIF: a flood, or the resolver chain when hierarchical. The
+  /// version is max(last seen + 1, now in ns), so a new home outranks an
+  /// old one it never heard from (members share one clock).
   void publish_dir_change(const naming::AppName& app, bool bound);
 
   // Replicated state (Sync): LSDB and directory records, flooded as they
@@ -384,8 +396,6 @@ class Ipcp {
 
   // Hierarchical directory plumbing.
   [[nodiscard]] naming::Address resolver_parent() const;
-  std::optional<naming::Address> dir_lookup_for_alloc(const naming::AppName& app);
-  std::optional<naming::Address> dir_cache_lookup(const naming::AppName& app);
   void start_dir_query(const naming::AppName& app, ResolveCb cb);
   void send_dir_query(const naming::AppName& app);
   void finish_dir_query(const naming::AppName& app,
@@ -466,7 +476,7 @@ class Ipcp {
   // Hierarchical directory resolution state (cfg_.dir_hierarchical).
   naming::DirCache dir_cache_;
   struct PendingResolve {
-    std::vector<ResolveCb> cbs;  // null entries = cache-warming only
+    std::vector<ResolveCb> cbs;
     int attempts = 0;
     sim::Timer timer;
   };

@@ -62,13 +62,6 @@ class DirCache {
     entries_.emplace(app, Entry{at, now + ttl_});
   }
 
-  /// Drop `app` if cached. Returns true when an entry was present.
-  bool invalidate(const AppName& app) {
-    if (entries_.erase(app) == 0) return false;
-    ++counters_.invalidations;
-    return true;
-  }
-
   /// Drop `app` only if it is cached *at* `at` — an invalidation for a
   /// stale binding must not kill a newer one already re-learned.
   bool invalidate_if_at(const AppName& app, Address at) {

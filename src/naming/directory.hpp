@@ -10,11 +10,11 @@
 // remove_at(addr) on every member death/mobility event — cost
 // O(registrations at that address) instead of a full scan.
 //
-// A replicated (flooded) directory also keeps one Stamp per name: the
-// publisher's version, ties broken by the publisher's address. apply()
-// installs a binding or a removal only when its stamp is newer, so
-// re-floods and stale resyncs never regress a name, and a removal
-// outlives the binding as a version-only tombstone.
+// Every name also keeps one Stamp: the publisher's version, ties broken
+// by the publisher's address. apply() is the one way a binding or a
+// removal gets in, and only when its stamp is newer, so re-floods, stale
+// resyncs and late updates never regress a name, and a removal outlives
+// the binding as a version-only tombstone.
 #pragma once
 
 #include <algorithm>
@@ -37,23 +37,6 @@ class Directory {
       return version != o.version ? version > o.version : origin.key() > o.origin.key();
     }
   };
-
-  void add(const AppName& app, Address at) {
-    auto [it, inserted] = entries_.emplace(app, at);
-    if (!inserted) {
-      if (it->second == at) return;
-      reverse_erase(it->second, app);
-      it->second = at;
-    }
-    reverse_[at.key()].push_back(app);
-  }
-
-  void remove(const AppName& app) {
-    auto it = entries_.find(app);
-    if (it == entries_.end()) return;
-    reverse_erase(it->second, app);
-    entries_.erase(it);
-  }
 
   /// Versioned update: bind `app` to `at` (nullopt = remove) if `s` is
   /// newer than the name's stamp. False = stale or duplicate, no change.
@@ -95,6 +78,23 @@ class Directory {
   }
 
  private:
+  void add(const AppName& app, Address at) {
+    auto [it, inserted] = entries_.emplace(app, at);
+    if (!inserted) {
+      if (it->second == at) return;
+      reverse_erase(it->second, app);
+      it->second = at;
+    }
+    reverse_[at.key()].push_back(app);
+  }
+
+  void remove(const AppName& app) {
+    auto it = entries_.find(app);
+    if (it == entries_.end()) return;
+    reverse_erase(it->second, app);
+    entries_.erase(it);
+  }
+
   void reverse_erase(Address at, const AppName& app) {
     auto rit = reverse_.find(at.key());
     if (rit == reverse_.end()) return;

@@ -445,12 +445,17 @@ OverlayPort add_overlay_port(ipcp::Ipcp* upper, ipcp::Ipcp* lower) {
   relay::PortIndex idx = upper->add_port(std::move(init));
   auto bind = [upper, lower, idx, bound](flow::PortId lower_port) {
     *bound = lower_port;
+    // A refused frame waits in the upper RMT until the lower flow's
+    // window reopens; that wake-up is the port's drain.
+    if (efcp::Connection* conn = lower->fa().connection(lower_port))
+      conn->set_on_writable([upper, idx] { upper->port_ready(idx); });
     lower->fa().set_flow_sink(
         lower_port,
         [upper, idx](Packet&& sdu) { upper->on_port_frame(idx, std::move(sdu)); },
         [upper, idx, bound] {
           bound->reset();
           upper->set_port_carrier(idx, false);
+          upper->port_ready(idx);  // what still waits has nowhere to go
         });
   };
   return {idx, std::move(bind)};

@@ -202,7 +202,6 @@ class ForwardingTable {
   }
 
   void set_poa_policy(PoaPolicy p) { policy_ = p; }
-  [[nodiscard]] PoaPolicy poa_policy() const { return policy_; }
 
   [[nodiscard]] std::size_t entry_count() const { return next_hops_.size(); }
 

@@ -12,7 +12,6 @@ namespace rina {
 struct SimTime {
   std::int64_t ns = 0;
 
-  static constexpr SimTime from_ns(std::int64_t v) { return SimTime{v}; }
   static constexpr SimTime from_us(double v) {
     return SimTime{static_cast<std::int64_t>(v * 1e3)};
   }

@@ -93,7 +93,6 @@ void test_fetch_and_nack() {
 void test_relay_cache_hit() {
   Network net(72);
   node::DifSpec s = spec("d", {"a", "r", "b"});
-  s.cfg.rmt_content_store_enabled = true;
   s.cfg.rmt_content_store_objects = 64;
   build_chain(net, std::move(s));
   content::ContentServer srv(provider());

@@ -3,7 +3,9 @@
 // hierarchical resolution chain end to end: registrations go only to the
 // resolver chain, a miss queries up and caches the answer, TTL expiry
 // re-queries, and a mobility invalidation flood guarantees a stale
-// cached binding is never served.
+// cached binding is never served. An authority keeps the newest stamp,
+// not the last arrival, and a member leaving mid-query still ends its
+// flow allocation.
 #include "naming/dir_cache.hpp"
 
 #include "node/network.hpp"
@@ -87,9 +89,7 @@ struct HierNet {
     net.add_link("anc2", "m3");
     node::DifSpec s;
     s.cfg.name = dif;
-    s.cfg.dir_hierarchical = true;
-    s.cfg.dir_root = Address{1, 1};     // the top of the chain
-    s.cfg.dir_cache_ttl = SimTime::from_ms(500);
+    s.cfg.dir_hierarchical = true;  // root (1.1) tops the chain
     s.members = {"root", "m1", "m2", "anc2", "m3"};
     s.addresses = {{"root", Address{1, 1}},
                    {"m1", Address{1, 2}},
@@ -165,9 +165,9 @@ static void hierarchical_ttl_requeries() {
   std::uint64_t q1 = h.ip("m3")->stats().get("dir_queries_sent");
   CHECK(q1 > 0);
 
-  // Past the 500ms cache TTL the binding must be re-fetched, and the
+  // Past the 5 s cache TTL the binding must be re-fetched, and the
   // answer is still correct.
-  h.net.run_for(SimTime::from_ms(600));
+  h.net.run_for(SimTime::from_ms(5100));
   flow::Flow f2 = h.open("m3", "cli2", "ttlsrv");
   CHECK(f2.is_open());
   CHECK(h.ip("m3")->stats().get("dir_queries_sent") > q1);
@@ -205,6 +205,68 @@ static void mobility_invalidation_no_stale_reads() {
   CHECK(got_old == 1);  // nothing new reached the old home
 }
 
+namespace {
+
+/// One hierarchical region: the root (1.1, also the anchor), a member
+/// behind a 40 ms link ("far", 1.2) and one 50 us away ("near", 1.3).
+struct SkewNet {
+  node::Network net{92};
+  naming::DifName dif{"skew"};
+
+  SkewNet() {
+    node::LinkOpts slow;
+    slow.delay = SimTime::from_ms(40);
+    net.add_link("root", "far", slow);
+    net.add_link("root", "near");
+    node::DifSpec s;
+    s.cfg.name = dif;
+    s.cfg.dir_hierarchical = true;
+    s.members = {"root", "far", "near"};
+    s.addresses = {{"root", Address{1, 1}}, {"far", Address{1, 2}}, {"near", Address{1, 3}}};
+    CHECK(net.build_link_dif(s).ok());
+    net.run_for(SimTime::from_ms(500));
+  }
+
+  ipcp::Ipcp* ip(const std::string& n) { return net.node(n).ipcp(dif); }
+};
+
+}  // namespace
+
+static void late_removal_loses_to_new_home() {
+  SkewNet h;
+  AppName app("mover");
+  auto ignore = [](flow::Flow) {};
+  CHECK(h.net.node("far").register_app(app, h.dif, ignore).ok());
+  h.net.run_for(SimTime::from_ms(700));  // past the old home's re-announces
+  CHECK(h.ip("root")->directory().lookup(app) == std::optional<Address>(Address{1, 2}));
+
+  // The move: the old home's removal crawls over 40 ms, the new home's
+  // binding, published 1 ms later, overtakes it. The root must keep the
+  // newer stamp, not the last arrival.
+  CHECK(h.ip("far")->fa().unregister_app(app).ok());
+  h.net.run_for(SimTime::from_ms(1));
+  CHECK(h.net.node("near").register_app(app, h.dif, ignore).ok());
+  h.net.run_for(SimTime::from_ms(50));
+  CHECK(h.ip("root")->directory().lookup(app) == std::optional<Address>(Address{1, 3}));
+}
+
+static void leave_ends_query_as_miss() {
+  SkewNet h;
+  AppName app("srv");
+  CHECK(h.net.node("near").register_app(app, h.dif, [](flow::Flow) {}).ok());
+  h.net.run_for(SimTime::from_ms(50));
+
+  // far's query for the name crosses the 40 ms link; far leaves the DIF
+  // before the answer can come back. The allocation must still end.
+  flow::Flow f = h.net.node("far").allocate_flow_on(h.dif, AppName("cli"), app,
+                                                     flow::QosSpec::reliable_default());
+  h.net.run_for(SimTime::from_ms(1));
+  CHECK(f.is_allocating());
+  h.ip("far")->leave(true);
+  h.net.run_for(SimTime::from_sec(9));
+  CHECK(f.state() == flow::FlowState::closed);
+}
+
 int main() {
   cache_ttl_and_misses();
   cache_capacity_evicts_soonest_expiry();
@@ -212,5 +274,7 @@ int main() {
   hierarchical_resolution_end_to_end();
   hierarchical_ttl_requeries();
   mobility_invalidation_no_stale_reads();
+  late_removal_loses_to_new_home();
+  leave_ends_query_as_miss();
   return TEST_MAIN_RESULT();
 }

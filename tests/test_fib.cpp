@@ -119,23 +119,27 @@ static void region_aggregation() {
 }
 
 static void directory() {
-  naming::Directory dir;
+  using Stamp = naming::Directory::Stamp;
   naming::AppName app("web", "1"), app2("db");
-  dir.add(app, Address{1, 5});
-  dir.add(app2, Address{1, 6});
-  CHECK(dir.lookup(app).value() == (Address{1, 5}));
-  CHECK(!dir.lookup(naming::AppName("nope")).has_value());
-  // Names resolve inside the DIF only; instance is part of the name.
-  CHECK(!dir.lookup(naming::AppName("web", "2")).has_value());
-  dir.remove_at(Address{1, 5});
-  CHECK(!dir.lookup(app).has_value());
-  CHECK(dir.lookup(app2).has_value());
-  dir.remove(app2);
-  CHECK(dir.size() == 0);
+  {
+    naming::Directory names;
+    Address a5{1, 5}, a6{1, 6};
+    CHECK(names.apply(app, a5, Stamp{1, a5}));
+    CHECK(names.apply(app2, a6, Stamp{1, a6}));
+    CHECK(names.lookup(app).value() == a5);
+    CHECK(!names.lookup(naming::AppName("nope")).has_value());
+    // Names resolve inside the DIF only; instance is part of the name.
+    CHECK(!names.lookup(naming::AppName("web", "2")).has_value());
+    names.remove_at(a5);
+    CHECK(!names.lookup(app).has_value());
+    CHECK(names.lookup(app2).has_value());
+    CHECK(names.apply(app2, std::nullopt, Stamp{2, a6}));
+    CHECK(names.size() == 0);
+  }
 
   // Versioned updates: newer stamps win, ties go to the higher origin,
   // and a removal stays behind as a tombstone that stale copies lose to.
-  using Stamp = naming::Directory::Stamp;
+  naming::Directory dir;
   Address b{1, 7}, x{1, 8};
   CHECK(dir.apply(app, b, Stamp{1, b}));
   CHECK(!dir.apply(app, b, Stamp{1, b}));  // a re-flood

@@ -3,7 +3,7 @@
 // system; reject an enrollment with bad credentials; overlay DIFs;
 // adjacencies over a lossy wire; the state hand-over (Sync) to a joiner,
 // a late first adjacency and a returning adjacency, and its news flooded
-// on as one Sync.
+// on as one Sync; an overlay port held up by its lower flow's window.
 #include "node/network.hpp"
 
 #include <functional>
@@ -483,6 +483,42 @@ static void keepalive_revival() {
   CHECK(f.is_open());
 }
 
+// An overlay port's RMT queue drains when its lower flow can take more.
+// The upper flow is unreliable and outruns the 2 Mb/s wire beneath the
+// reliable lower flow, so upper frames wait in the upper RMT until the
+// lower window reopens; the upper writer, refused at the full RMT queue,
+// refills on on_writable. Every SDU must arrive.
+static void overlay_port_drains_on_lower_writable() {
+  Network net(50);
+  node::LinkOpts wire;
+  wire.rate_bps = 2e6;
+  net.add_link("a", "b", wire);
+  CHECK(net.build_link_dif(spec("low", {"a", "b"})).ok());
+  CHECK(net.build_overlay_dif(spec("up", {"a", "b"}),
+                              {{"a", "b", naming::DifName{"low"},
+                                flow::QosSpec::reliable_default()}})
+            .ok());
+  int got = 0;
+  register_sink(net, "b", "srv", "up", [&](Bytes&&) { ++got; });
+  flow::Flow f = net.node("a").allocate_flow_on(naming::DifName{"up"}, naming::AppName("cli"),
+                                                naming::AppName("srv"),
+                                                flow::QosSpec::unreliable());
+  CHECK(net.run_until([&] { return !f.is_allocating(); }, SimTime::from_sec(2)));
+  CHECK(f.is_open());
+
+  constexpr int kSdus = 3000;
+  int sent = 0;
+  const Bytes sdu(200, 0x5a);
+  auto refill = [&sent, &sdu](flow::Flow& fl) {
+    while (sent < kSdus && fl.write(BytesView{sdu}).ok()) ++sent;
+  };
+  f.on_writable(refill);
+  refill(f);
+  net.run_for(SimTime::from_sec(20));
+  CHECK(sent == kSdus);
+  CHECK(got == kSdus);
+}
+
 int main() {
   two_hosts_flow();
   relayed_flow();
@@ -500,5 +536,6 @@ int main() {
   malformed_sync_ignored();
   handover_floods_on_as_one();
   keepalive_revival();
+  overlay_port_drains_on_lower_writable();
   return TEST_MAIN_RESULT();
 }
