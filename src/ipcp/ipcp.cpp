@@ -95,12 +95,12 @@ naming::AppName get_app(BufReader& r) {
 
 /// One link-state record, as a Sync carries it. Layout: origin | u64 seq
 /// | u16 n | n neighbor addresses.
-std::size_t lsu_record_size(const std::vector<naming::Address>& neighbors) {
+std::size_t lsu_record_size(naming::AddressSpan neighbors) {
   return 14 + 4 * neighbors.size();
 }
 
 void put_lsu_record(BufWriter& w, naming::Address origin, std::uint64_t seq,
-                    const std::vector<naming::Address>& neighbors) {
+                    naming::AddressSpan neighbors) {
   put_addr(w, origin);
   w.put_u64(seq);
   w.put_u16(static_cast<std::uint16_t>(neighbors.size()));
@@ -165,8 +165,7 @@ class SyncPacker {
     put_dir_record(w_, app, s, at);
     ++ndir_;
   }
-  void add_lsu(naming::Address origin, std::uint64_t seq,
-               const std::vector<naming::Address>& neighbors) {
+  void add_lsu(naming::Address origin, std::uint64_t seq, naming::AddressSpan neighbors) {
     fit(lsu_record_size(neighbors));
     put_lsu_record(w_, origin, seq, neighbors);
     ++nlsu_;
@@ -242,6 +241,12 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
   c_lsus_flooded_ = stats_.slot("lsus_flooded");
   c_riep_sent_ = stats_.slot("riep_sent");
   c_mgmt_bytes_ = stats_.slot("mgmt_bytes_sent");
+  c_lsus_received_ = stats_.slot("lsus_received");
+  c_lsus_originated_ = stats_.slot("lsus_originated");
+  c_lsus_dup_suppressed_ = stats_.slot("lsus_dup_suppressed");
+  c_dir_dups_suppressed_ = stats_.slot("dir_dups_suppressed");
+  c_spf_runs_ = stats_.slot("spf_runs");
+  c_spf_vertices_ = stats_.slot("spf_vertices_recomputed");
   if (cfg_.cubes.empty()) cfg_.cubes = dif::default_cubes();
   if (cfg_.rmt_content_store_objects > 0)
     cstore_ = std::make_unique<content::ContentStore>(cfg_.rmt_content_store_objects);
@@ -508,7 +513,7 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
     case ObjClass::sync:
       // From a member, or from my sponsor ahead of its JoinAccept.
       if (!p.peer_enrolled && !joining_via(idx)) break;
-      if (carries_lsdb(m)) stats_.inc("lsus_received");
+      if (carries_lsdb(m)) ++*c_lsus_received_;
       (void)apply_sync(idx, m);
       return;
     default:
@@ -610,11 +615,10 @@ void Ipcp::originate_lsu() {
   ++lsu_seq_;
   std::vector<naming::Address> neighbors;
   for (const auto& [addr, ports] : live_neighbors()) neighbors.push_back(addr);
-  LsuRecord& rec = lsdb_[address_];
-  rec = LsuRecord{lsu_seq_, std::move(neighbors)};
-  stats_.inc("lsus_originated");
+  lsdb_.put(address_, lsu_seq_, neighbors);
+  ++*c_lsus_originated_;
   SyncPacker pk;
-  pk.add_lsu(address_, rec.seq, rec.neighbors);
+  pk.add_lsu(address_, lsu_seq_, neighbors);
   flood(std::move(pk).take(), std::nullopt);
   schedule_spf();
 }
@@ -640,18 +644,14 @@ std::optional<naming::Address> Ipcp::apply_lsu(BufReader& r) {
   // A re-flood, or a Sync record the peer already has, is recognized from
   // (origin, seq) alone, before its neighbor list is decoded: it never
   // re-floods, never touches the LSDB, never schedules SPF.
-  auto lit = lsdb_.find(origin);
-  if (lit != lsdb_.end() && seq <= lit->second.seq &&
-      !(lit->second.seq == 0 && seq == 0)) {
-    stats_.inc("lsus_dup_suppressed");
+  const std::optional<routing::Lsdb::Entry> held = lsdb_.find(origin);
+  if (held && seq <= held->seq && !(held->seq == 0 && seq == 0)) {
+    ++*c_lsus_dup_suppressed_;
     return std::nullopt;
   }
-  std::vector<naming::Address> neighbors;
-  neighbors.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) neighbors.push_back(get_addr(list));
-  LsuRecord& rec = lsdb_[origin];
-  rec.seq = seq;
-  rec.neighbors = std::move(neighbors);
+  lsu_scratch_.clear();
+  for (std::uint16_t i = 0; i < n; ++i) lsu_scratch_.push_back(get_addr(list));
+  lsdb_.put(origin, seq, lsu_scratch_);
   return origin;
 }
 
@@ -662,7 +662,7 @@ void Ipcp::schedule_spf() {
 
 void Ipcp::run_spf() {
   if (!enrolled_ || address_.is_null()) return;
-  stats_.inc("spf_runs");
+  ++*c_spf_runs_;
 
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
   for (const Port& p : ports_)
@@ -670,7 +670,7 @@ void Ipcp::run_spf() {
   std::vector<routing::UnitSpf::Route>& routes = spf.solve(address_, lsdb_);
   // Every run re-derives every reachable destination; c9's SPF vtx/evt
   // and the benchmark's routing.spf_vertices read this count.
-  stats_.inc("spf_vertices_recomputed", routes.size());
+  *c_spf_vertices_ += routes.size();
   if (cfg_.aggregate_regions) aggregate_foreign_regions(routes, address_.region);
   rmt_.fib_.replace_routes(routes);
 }
@@ -969,9 +969,9 @@ std::vector<Bytes> Ipcp::sync_chunks(naming::Address peer) const {
   }
   // The peer ignores its own record, and mine is re-originated for the
   // new adjacency anyway.
-  for (const auto& [origin, rec] : lsdb_) {
-    if (origin == peer || origin == address_) continue;
-    pk.add_lsu(origin, rec.seq, rec.neighbors);
+  for (const routing::Lsdb::Entry& rec : lsdb_) {
+    if (rec.origin == peer || rec.origin == address_) continue;
+    pk.add_lsu(rec.origin, rec.seq, rec.neighbors);
   }
   return std::move(pk).take();
 }
@@ -990,7 +990,7 @@ bool Ipcp::apply_sync(relay::PortIndex from, const rib::RiepMessage& m) {
     if (apply_dir_record(d.app, d.at, d.stamp))
       dir_news.push_back(std::move(d));
     else
-      stats_.inc("dir_dups_suppressed");
+      ++*c_dir_dups_suppressed_;
   }
   for (std::uint16_t i = 0; i < nlsu && r.ok(); ++i)
     if (auto origin = apply_lsu(r)) lsu_news.push_back(*origin);
@@ -1003,7 +1003,7 @@ bool Ipcp::apply_sync(relay::PortIndex from, const rib::RiepMessage& m) {
     SyncPacker pk;
     for (const DirRecord& d : dir_news) pk.add_dir(d.app, d.stamp, d.at);
     for (naming::Address origin : lsu_news) {
-      const LsuRecord& rec = lsdb_[origin];
+      const routing::Lsdb::Entry rec = *lsdb_.find(origin);
       pk.add_lsu(origin, rec.seq, rec.neighbors);
     }
     flood(std::move(pk).take(), from);

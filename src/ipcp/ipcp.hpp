@@ -38,6 +38,7 @@
 #include "naming/names.hpp"
 #include "relay/forwarding.hpp"
 #include "rib/riep.hpp"
+#include "routing/lsdb.hpp"
 #include "sim/scheduler.hpp"
 
 namespace rina::ipcp {
@@ -348,11 +349,6 @@ class Ipcp {
     std::optional<std::uint64_t> join_nonce;  // member side of psk handshake
   };
 
-  struct LsuRecord {
-    std::uint64_t seq = 0;
-    std::vector<naming::Address> neighbors;
-  };
-
   [[nodiscard]] bool usable(const Port& p) const {
     return p.carrier && p.alive && p.peer_enrolled && !p.peer.is_null();
   }
@@ -461,6 +457,13 @@ class Ipcp {
   std::uint64_t* c_lsus_flooded_ = nullptr;
   std::uint64_t* c_riep_sent_ = nullptr;
   std::uint64_t* c_mgmt_bytes_ = nullptr;  // control bytes on the wire
+  // Per-LSU, per-record and per-SPF-run cells, for the same reason.
+  std::uint64_t* c_lsus_received_ = nullptr;
+  std::uint64_t* c_lsus_originated_ = nullptr;
+  std::uint64_t* c_lsus_dup_suppressed_ = nullptr;
+  std::uint64_t* c_dir_dups_suppressed_ = nullptr;
+  std::uint64_t* c_spf_runs_ = nullptr;
+  std::uint64_t* c_spf_vertices_ = nullptr;
 
   Rmt rmt_;
   FlowAllocator fa_;
@@ -469,7 +472,8 @@ class Ipcp {
 
   // Link-state database: with dir_ and its version stamps, this member's
   // share of the DIF's replicated state.
-  std::map<naming::Address, LsuRecord> lsdb_;
+  routing::Lsdb lsdb_;
+  std::vector<naming::Address> lsu_scratch_;  // apply_lsu's decoded list
   std::uint64_t lsu_seq_ = 0;
   std::vector<naming::Address> last_neighbor_set_;
 

@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace rina::naming {
 
@@ -67,6 +68,24 @@ struct Address {
   bool operator==(const Address& o) const { return key() == o.key(); }
   bool operator!=(const Address& o) const { return key() != o.key(); }
   bool operator<(const Address& o) const { return key() < o.key(); }
+};
+
+/// A read-only run of addresses inside an array someone else owns: an
+/// LSDB record's neighbors, a route's next hops. It stays valid until
+/// that owner next writes the array.
+struct AddressSpan {
+  const Address* first = nullptr;
+  const Address* last = nullptr;
+
+  AddressSpan() = default;
+  AddressSpan(const Address* f, const Address* l) : first(f), last(l) {}
+  // Implicit, so a function taking a span takes a vector as it is.
+  AddressSpan(const std::vector<Address>& v)
+      : first(v.data()), last(v.data() + v.size()) {}
+
+  [[nodiscard]] const Address* begin() const { return first; }
+  [[nodiscard]] const Address* end() const { return last; }
+  [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(last - first); }
 };
 
 }  // namespace rina::naming

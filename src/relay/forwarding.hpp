@@ -8,6 +8,7 @@
 // paper's Figure 4 claim.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -170,40 +171,57 @@ class EgressQueues {
 
 class ForwardingTable {
  public:
-  void set_next_hops(naming::Address dest, std::vector<naming::Address> hops) {
-    next_hops_[dest] = std::move(hops);
-    memo_hops_ = nullptr;
-    memo_ports_ = nullptr;
-  }
+  /// A destination's next hops, in preference order: a view into the hop
+  /// pool, valid until the next replace_routes().
+  using Hops = naming::AddressSpan;
+
+  /// One route as routes() reads it back.
+  struct Route {
+    naming::Address first;  // destination
+    Hops second;            // its next hops
+  };
+  /// Walks the routes in destination order.
+  struct RouteIterator {
+    const ForwardingTable* t;
+    std::size_t i;
+    Route operator*() const { return Route{t->dests_[i].dest, t->hops_at(i)}; }
+    RouteIterator& operator++() {
+      ++i;
+      return *this;
+    }
+    bool operator!=(const RouteIterator& o) const { return i != o.i; }
+  };
+  struct RouteRange {
+    const ForwardingTable* t;
+    [[nodiscard]] RouteIterator begin() const { return {t, 0}; }
+    [[nodiscard]] RouteIterator end() const { return {t, t->dests_.size()}; }
+  };
 
   /// Replace every route with `routes` — items with a `dest` and an
-  /// iterable `hops`, dests strictly ascending — in one sorted merge. A
-  /// route that stays keeps its map node and its vector's capacity, so
-  /// re-installing an unchanged route set allocates nothing.
+  /// iterable `hops`, dests strictly ascending. The destination array and
+  /// the hop pool keep their capacity, so once they are warm a replace
+  /// allocates nothing.
   template <typename Routes>
   void replace_routes(const Routes& routes) {
-    auto it = next_hops_.begin();
+    dests_.clear();
+    hops_.clear();
     for (const auto& r : routes) {
-      while (it != next_hops_.end() && it->first < r.dest) it = next_hops_.erase(it);
-      if (it == next_hops_.end() || r.dest < it->first)
-        it = next_hops_.emplace_hint(it, r.dest, std::vector<naming::Address>{});
-      it->second.assign(r.hops.begin(), r.hops.end());
-      ++it;
+      dests_.push_back(Dest{r.dest, static_cast<std::uint32_t>(hops_.size())});
+      hops_.insert(hops_.end(), r.hops.begin(), r.hops.end());
     }
-    next_hops_.erase(it, next_hops_.end());
-    memo_hops_ = nullptr;
+    memo_hops_ = Hops{};
     memo_ports_ = nullptr;
   }
 
   void set_neighbor_ports(naming::Address neighbor, std::vector<PortIndex> ports) {
     neighbor_ports_[neighbor] = std::move(ports);
-    memo_hops_ = nullptr;
+    memo_hops_ = Hops{};
     memo_ports_ = nullptr;
   }
 
   void set_poa_policy(PoaPolicy p) { policy_ = p; }
 
-  [[nodiscard]] std::size_t entry_count() const { return next_hops_.size(); }
+  [[nodiscard]] std::size_t entry_count() const { return dests_.size(); }
 
   /// Two-step lookup: pick a next-hop node for `dest` (falling back to the
   /// region-wildcard entry if the DIF aggregates), then bind to a live
@@ -216,22 +234,24 @@ class ForwardingTable {
     // One-entry memo: per-PDU traffic overwhelmingly resolves the same
     // destination back to back (a host talks to one peer; a relay's
     // transit flows converge on a few next hops), so remembering the
-    // last map resolution skips both tree walks on the hot path. The
-    // memo caches only the dest -> hops binding — port liveness and
-    // round-robin state are still evaluated fresh per call — and every
-    // table mutation drops it, so results are bit-identical.
-    const std::vector<naming::Address>* hops;
-    if (memo_hops_ != nullptr && memo_dest_ == dest) {
+    // last resolution skips the binary search and the neighbor-port map
+    // walk on the hot path. The memo caches only the dest -> hops binding
+    // — port liveness and round-robin state are still evaluated fresh per
+    // call — and every table mutation drops it, so results are
+    // bit-identical. A memo whose hops view is null holds nothing.
+    Hops hops;
+    if (memo_hops_.first != nullptr && memo_dest_ == dest) {
       hops = memo_hops_;
     } else {
-      hops = find_hops(dest);
-      if (hops == nullptr) hops = find_hops(dest.region_wildcard());
-      if (hops == nullptr) return std::nullopt;
+      std::optional<Hops> found = find_hops(dest);
+      if (!found) found = find_hops(dest.region_wildcard());
+      if (!found) return std::nullopt;
+      hops = *found;
       memo_dest_ = dest;
       memo_hops_ = hops;
       memo_ports_ = nullptr;
     }
-    for (const naming::Address& nh : *hops) {
+    for (const naming::Address& nh : hops) {
       const std::vector<PortIndex>* pv;
       if (memo_ports_ != nullptr && memo_nh_ == nh) {
         pv = memo_ports_;
@@ -261,26 +281,40 @@ class ForwardingTable {
     return std::nullopt;
   }
 
-  [[nodiscard]] const std::map<naming::Address, std::vector<naming::Address>>&
-  routes() const {
-    return next_hops_;
-  }
+  /// Every route, read-only, in destination order; valid until the next
+  /// replace_routes().
+  [[nodiscard]] RouteRange routes() const { return RouteRange{this}; }
 
  private:
-  [[nodiscard]] const std::vector<naming::Address>* find_hops(
-      naming::Address key) const {
-    auto it = next_hops_.find(key);
-    return it == next_hops_.end() ? nullptr : &it->second;
+  /// A route: its destination, and where its hops start in hops_. They
+  /// run to the next route's start, or to the pool's end.
+  struct Dest {
+    naming::Address dest;
+    std::uint32_t off;
+  };
+
+  [[nodiscard]] Hops hops_at(std::size_t i) const {
+    const std::size_t end = i + 1 < dests_.size() ? dests_[i + 1].off : hops_.size();
+    return Hops{hops_.data() + dests_[i].off, hops_.data() + end};
   }
 
-  std::map<naming::Address, std::vector<naming::Address>> next_hops_;
+  [[nodiscard]] std::optional<Hops> find_hops(naming::Address key) const {
+    auto it = std::lower_bound(dests_.begin(), dests_.end(), key,
+                               [](const Dest& d, naming::Address k) { return d.dest < k; });
+    if (it == dests_.end() || it->dest != key) return std::nullopt;
+    return hops_at(static_cast<std::size_t>(it - dests_.begin()));
+  }
+
+  std::vector<Dest> dests_;             // sorted by destination
+  std::vector<naming::Address> hops_;   // every route's hops, in route order
   std::map<naming::Address, std::vector<PortIndex>> neighbor_ports_;
   PoaPolicy policy_ = PoaPolicy::first_up;
   mutable std::map<naming::Address, std::size_t> rr_state_;
-  // lookup()'s one-entry memo (see there). Pointers into the maps above
-  // stay valid until a mutating call, which nulls them.
+  // lookup()'s one-entry memo (see there). The hops view and the pointer
+  // into neighbor_ports_ stay valid until a mutating call, which drops
+  // them.
   mutable naming::Address memo_dest_{};
-  mutable const std::vector<naming::Address>* memo_hops_ = nullptr;
+  mutable Hops memo_hops_;
   mutable naming::Address memo_nh_{};
   mutable const std::vector<PortIndex>* memo_ports_ = nullptr;
 };

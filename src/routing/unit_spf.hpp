@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "naming/names.hpp"
+#include "routing/lsdb.hpp"
 
 namespace rina::routing {
 
@@ -28,12 +29,7 @@ using Cost = std::uint32_t;
 class UnitSpf {
  public:
   /// A destination's first hops: a view into the kernel's hop pool.
-  struct Hops {
-    const naming::Address* first = nullptr;
-    const naming::Address* last = nullptr;
-    [[nodiscard]] const naming::Address* begin() const { return first; }
-    [[nodiscard]] const naming::Address* end() const { return last; }
-  };
+  using Hops = naming::AddressSpan;
   struct Route {
     naming::Address dest;
     Cost dist = 0;
@@ -56,17 +52,15 @@ class UnitSpf {
   }
 
   /// Shortest paths from `src` over the links added since the last solve
-  /// plus every record in `lsdb`, a map from origin to a record whose
-  /// `neighbors` the origin links to. A record of `src` itself is ignored:
-  /// the live links given by add_link() are fresher. Returns every
-  /// reachable destination but `src`, in address order. It stays valid
-  /// until the next solve() on this kernel, and the caller may rewrite it
-  /// in place.
-  template <typename Lsdb>
+  /// plus every record in `lsdb`, each a link from its origin to each of
+  /// its neighbors. A record of `src` itself is ignored: the live links
+  /// given by add_link() are fresher. Returns every reachable destination
+  /// but `src`, in address order. It stays valid until the next solve() on
+  /// this kernel, and the caller may rewrite it in place.
   std::vector<Route>& solve(naming::Address src, const Lsdb& lsdb) {
-    for (const auto& [origin, rec] : lsdb) {
-      if (origin == src) continue;
-      for (naming::Address n : rec.neighbors) add_link(origin, n);
+    for (const Lsdb::Entry& rec : lsdb) {
+      if (rec.origin == src) continue;
+      for (naming::Address n : rec.neighbors) add_link(rec.origin, n);
     }
     run(src.key());
     ends_.clear();

@@ -205,13 +205,22 @@ class ShardedScheduler {
 
   void run_for(SimTime d) { run_until(now_ + d); }
 
-  /// Run windows until pred() holds or the clock reaches deadline. The
-  /// predicate is evaluated on the driver thread at window boundaries
-  /// only (shard state is unreadable mid-window), so it resolves with
-  /// one-window granularity.
+  /// Run windows until pred() holds or the clock reaches deadline. With
+  /// several shards the predicate is evaluated on the driver thread at
+  /// window boundaries only (shard state is unreadable mid-window), so it
+  /// resolves with one-window granularity: with no cross-shard link the
+  /// one window runs to the deadline, so it resolves only there. One
+  /// shard runs its own wheel's run_until_pred, which checks after every
+  /// event as the plain Scheduler does.
   template <typename Pred>
   bool run_until_pred(Pred&& pred, SimTime deadline) {
     if (pred()) return true;
+    if (nshards_ == 1) {
+      ++window_;
+      const bool held = shards_[0]->run_until_pred(pred, deadline);
+      now_ = shards_[0]->now();
+      return held;
+    }
     while (now_ < deadline) {
       SimTime wend = deadline;
       if (lookahead_.ns != kInfiniteNs && now_ + lookahead_ < deadline)

@@ -1,17 +1,20 @@
 // test_fib — Dijkstra with equal-cost sets, two-step forwarding lookups
 // (late PoA binding, round-robin), region aggregation, the directory and
-// its version stamps, the unit-cost SPF kernel against Dijkstra, and the
-// FIB's in-place route replace, which with the kernel allocates nothing
-// once warm.
+// its version stamps, the packed LSDB against a map, the unit-cost SPF
+// kernel over it against Dijkstra, and the FIB's route replace, which
+// with the kernel and an in-slot LSDB rewrite allocates nothing once
+// warm.
 #include "naming/directory.hpp"
 #include "relay/forwarding.hpp"
 #include "routing/graph.hpp"
+#include "routing/lsdb.hpp"
 #include "routing/unit_spf.hpp"
 
 #include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -33,6 +36,13 @@ __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
 
 using namespace rina;
 using naming::Address;
+
+// A route as replace_routes() takes it.
+struct TestRoute {
+  Address dest;
+  std::vector<Address> hops;
+};
+using TestRoutes = std::vector<TestRoute>;
 
 static void dijkstra_basic() {
   routing::Graph g;
@@ -71,7 +81,7 @@ static void dijkstra_prefers_shorter() {
 static void two_step_lookup() {
   relay::ForwardingTable fib;
   Address dest{1, 50}, nh{1, 2};
-  fib.set_next_hops(dest, {nh});
+  fib.replace_routes(TestRoutes{{dest, {nh}}});
   fib.set_neighbor_ports(nh, {0, 1, 2});
   CHECK(fib.entry_count() == 1);
 
@@ -90,7 +100,7 @@ static void two_step_lookup() {
 static void round_robin_poa() {
   relay::ForwardingTable fib;
   Address dest{1, 50}, nh{1, 2};
-  fib.set_next_hops(dest, {nh});
+  fib.replace_routes(TestRoutes{{dest, {nh}}});
   fib.set_neighbor_ports(nh, {0, 1});
   fib.set_poa_policy(relay::PoaPolicy::round_robin);
   auto all_up = [](relay::PortIndex) { return true; };
@@ -106,7 +116,7 @@ static void region_aggregation() {
   Address nh{1, 2};
   fib.set_neighbor_ports(nh, {4});
   // One wildcard entry covers the whole foreign region 7.
-  fib.set_next_hops(Address{7, 0}, {nh});
+  fib.replace_routes(TestRoutes{{Address{7, 0}, {nh}}});
   auto all_up = [](relay::PortIndex) { return true; };
   CHECK(fib.lookup(Address{7, 31}, all_up).value() == 4u);
   CHECK(fib.lookup(Address{7, 99}, all_up).value() == 4u);
@@ -114,8 +124,9 @@ static void region_aggregation() {
   // An exact entry beats the wildcard.
   Address other{1, 3};
   fib.set_neighbor_ports(other, {9});
-  fib.set_next_hops(Address{7, 31}, {other});
+  fib.replace_routes(TestRoutes{{Address{7, 0}, {nh}}, {Address{7, 31}, {other}}});
   CHECK(fib.lookup(Address{7, 31}, all_up).value() == 9u);
+  CHECK(fib.lookup(Address{7, 99}, all_up).value() == 4u);
 }
 
 static void directory() {
@@ -158,6 +169,7 @@ static void directory() {
 
 namespace {
 
+// The reference LSDB: one map node and one vector per record.
 struct LsuRecord {
   std::vector<Address> neighbors;
 };
@@ -184,12 +196,18 @@ routing::SpfResult dijkstra_over(Address src, const std::vector<Address>& live,
   return g.dijkstra(src);
 }
 
+routing::Lsdb packed(const Lsdb& lsdb) {
+  routing::Lsdb db;
+  for (const auto& [origin, rec] : lsdb) db.put(origin, 1, rec.neighbors);
+  return db;
+}
+
 std::vector<routing::UnitSpf::Route>& unit_spf_over(Address src,
                                                     const std::vector<Address>& live,
-                                                    const Lsdb& lsdb) {
+                                                    const routing::Lsdb& db) {
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
   for (Address n : live) spf.add_link(src, n);
-  return spf.solve(src, lsdb);
+  return spf.solve(src, db);
 }
 
 // Same destinations and distances, and the same next-hop vectors in the
@@ -220,7 +238,8 @@ bool any_unsorted_hops(const routing::SpfResult& full) {
 // records a real LSDB can hold — one-way links, neighbors with no record
 // of their own, duplicate entries, a record listing its own origin, an
 // island no path reaches, and a stale record of the source — routed by
-// the kernel and by Graph::dijkstra.
+// Graph::dijkstra over the map and by the kernel over the map packed into
+// a routing::Lsdb, so the trials check the store and the kernel together.
 static void unit_spf_oracle() {
   int unsorted = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -264,7 +283,7 @@ static void unit_spf_oracle() {
     std::reverse(live.begin(), live.end());
 
     const routing::SpfResult full = dijkstra_over(src, live, lsdb);
-    CHECK(same_routes(unit_spf_over(src, live, lsdb), full));
+    CHECK(same_routes(unit_spf_over(src, live, packed(lsdb)), full));
     if (any_unsorted_hops(full)) ++unsorted;
     CHECK(full.entries.count(Address{91, 1}) == 0);
   }
@@ -286,19 +305,93 @@ static void unit_spf_oracle() {
   lsdb[hub].neighbors = {tail};
   const routing::SpfResult full = dijkstra_over(src, live, lsdb);
   CHECK(full.entries.at(tail).next_hops.size() == 70);
-  CHECK(same_routes(unit_spf_over(src, live, lsdb), full));
+  CHECK(same_routes(unit_spf_over(src, live, packed(lsdb)), full));
 }
 
-struct TestRoute {
-  Address dest;
-  std::vector<Address> hops;
-};
+// Seeded differential test of the packed LSDB against a map of vectors:
+// after every put, the same origins in the same order, each with the same
+// seq and neighbors, and find() agrees. The puts add origins in random
+// order, rewrite lists at the same length, grow lists past their slots,
+// shrink them and regrow them inside their slots, empty them, and churn
+// enough to compact the pool.
+static void lsdb_matches_map() {
+  struct Ref {
+    std::uint64_t seq = 0;
+    std::vector<Address> neighbors;
+    std::size_t longest = 0;  // the record's slot length
+  };
+  std::map<Address, Ref> ref;
+  routing::Lsdb db;
+  auto same = [&] {
+    if (db.size() != ref.size()) return false;
+    auto it = ref.begin();
+    for (const routing::Lsdb::Entry& e : db) {
+      const auto& [origin, r] = *it++;
+      const auto& want = r.neighbors;
+      if (e.origin != origin || e.seq != r.seq) return false;
+      if (!std::equal(e.neighbors.begin(), e.neighbors.end(), want.begin(), want.end()))
+        return false;
+      const std::optional<routing::Lsdb::Entry> found = db.find(origin);
+      if (!found || found->seq != r.seq || found->neighbors.size() != want.size()) return false;
+    }
+    return !db.find(Address{9, 9}).has_value();
+  };
+  auto random_address = [] {
+    return Address{static_cast<std::uint16_t>(1 + rnd(4)), static_cast<std::uint16_t>(1 + rnd(40))};
+  };
+  int compactions = 0, regrown_in_place = 0, emptied = 0;
+  for (std::uint64_t step = 1; step <= 4000; ++step) {
+    const Address origin = random_address();
+    Ref& r = ref[origin];
+    const std::size_t had = r.neighbors.size();
+    std::size_t n = 0;
+    switch (rnd(5)) {
+      case 0: n = had; break;                  // same length
+      case 1: n = had + 1 + rnd(3); break;     // longer
+      case 2: n = had / 2; break;              // shorter
+      case 3: n = 0; break;                    // empty
+      default: n = rnd(r.longest + 1); break;  // anything within the slot
+    }
+    std::vector<Address> list;
+    for (std::size_t i = 0; i < n; ++i) list.push_back(random_address());
+    const std::size_t pool_before = db.pool_size();
+    db.put(origin, step, list);
+    if (db.pool_size() < pool_before) ++compactions;
+    if (n > had && n <= r.longest && db.pool_size() == pool_before) ++regrown_in_place;
+    if (n == 0 && had != 0) ++emptied;
+    r.seq = step;
+    r.neighbors = list;
+    r.longest = std::max(r.longest, n);
+    CHECK(same());
+    std::size_t slots = 0;
+    for (const auto& [o, rr] : ref) slots += rr.longest;
+    CHECK(db.pool_size() <= 2 * slots);
+  }
+  CHECK(ref.size() == 160);
+  CHECK(compactions > 0);
+  CHECK(regrown_in_place > 0);
+  CHECK(emptied > 0);
+}
 
-// The in-place replace leaves the table exactly as a fresh table given
-// one set_next_hops() per route would.
-static void fib_replace_matches_rebuild() {
+// After each replace, routes() reads back exactly the set it was given, in
+// order: no route of an earlier set survives, and no hop list keeps a
+// stale tail.
+static bool reads_back(const relay::ForwardingTable& fib, const TestRoutes& set) {
+  if (fib.entry_count() != set.size()) return false;
+  auto want = set.begin();
+  for (const auto& route : fib.routes()) {
+    if (route.first != want->dest) return false;
+    if (!std::equal(route.second.begin(), route.second.end(), want->hops.begin(),
+                    want->hops.end()))
+      return false;
+    ++want;
+  }
+  return true;
+}
+
+static void fib_replace_reads_back() {
   const Address h1{1, 2}, h2{1, 3}, h3{1, 4};
-  const std::vector<std::vector<TestRoute>> sets = {
+  const std::vector<TestRoutes> sets = {
       {{Address{2, 1}, {h1}}, {Address{2, 5}, {h1, h2}}},                  // from empty
       {{Address{1, 9}, {h3}}, {Address{2, 1}, {h1}}, {Address{2, 3}, {h2}},
        {Address{2, 5}, {h1, h2}}, {Address{4, 0}, {h3, h2, h1}}},           // grown
@@ -307,12 +400,10 @@ static void fib_replace_matches_rebuild() {
       {{Address{1, 1}, {h1}}, {Address{2, 4}, {h2}}, {Address{9, 9}, {h3}}},  // disjoint
       {},
   };
-  relay::ForwardingTable merged;
+  relay::ForwardingTable fib;
   for (const auto& set : sets) {
-    merged.replace_routes(set);
-    relay::ForwardingTable rebuilt;
-    for (const TestRoute& r : set) rebuilt.set_next_hops(r.dest, r.hops);
-    CHECK(merged.routes() == rebuilt.routes());
+    fib.replace_routes(set);
+    CHECK(reads_back(fib, set));
   }
 }
 
@@ -324,17 +415,18 @@ static void fib_replace_drops_memo() {
   fib.set_neighbor_ports(nh1, {1});
   fib.set_neighbor_ports(nh2, {2});
   auto all_up = [](relay::PortIndex) { return true; };
-  fib.replace_routes(std::vector<TestRoute>{{dest, {nh1}}, {gone, {nh1}}});
+  fib.replace_routes(TestRoutes{{dest, {nh1}}, {gone, {nh1}}});
   CHECK(fib.lookup(dest, all_up).value() == 1u);
-  fib.replace_routes(std::vector<TestRoute>{{dest, {nh2, nh1}}, {gone, {nh1}}});
+  fib.replace_routes(TestRoutes{{dest, {nh2, nh1}}, {gone, {nh1}}});
   CHECK(fib.lookup(dest, all_up).value() == 2u);
   CHECK(fib.lookup(gone, all_up).value() == 1u);
-  fib.replace_routes(std::vector<TestRoute>{{dest, {nh2}}});
+  fib.replace_routes(TestRoutes{{dest, {nh2}}});
   CHECK(!fib.lookup(gone, all_up).has_value());
 }
 
-// Re-routing an unchanged LSDB — the kernel on this thread's scratch,
-// then the replace — allocates nothing after one warm-up run.
+// Re-routing — a record re-put inside its slot, the kernel on this
+// thread's scratch, then the replace — allocates nothing after one
+// warm-up run.
 static void unit_spf_steady_state_allocates_nothing() {
   Lsdb lsdb;
   auto link = [&](Address a, Address b) {
@@ -348,12 +440,21 @@ static void unit_spf_steady_state_allocates_nothing() {
   }
   const Address src{5, 1};
   const std::vector<Address> live = lsdb[src].neighbors;
+  routing::Lsdb db = packed(lsdb);
+  // A far anchor's record, re-put without its last spoke and then whole
+  // again: the spoke drops out of the routes and comes back.
+  const Address far{17, 1};
+  const std::vector<Address> whole = lsdb[far].neighbors;
+  const std::vector<Address> shorter(whole.begin(), whole.end() - 1);
   relay::ForwardingTable fib;
-  fib.replace_routes(unit_spf_over(src, live, lsdb));  // warm-up
+  fib.replace_routes(unit_spf_over(src, live, db));  // warm-up
   const std::size_t before = g_allocs;
-  for (int i = 0; i < 3; ++i) fib.replace_routes(unit_spf_over(src, live, lsdb));
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    db.put(far, 2 + i, i % 2 == 0 ? shorter : whole);
+    fib.replace_routes(unit_spf_over(src, live, db));
+    CHECK(fib.entry_count() == (i % 2 == 0 ? 238u : 239u));
+  }
   CHECK(g_allocs == before);
-  CHECK(fib.entry_count() == 239);
 }
 
 int main() {
@@ -364,7 +465,8 @@ int main() {
   region_aggregation();
   directory();
   unit_spf_oracle();
-  fib_replace_matches_rebuild();
+  lsdb_matches_map();
+  fib_replace_reads_back();
   fib_replace_drops_memo();
   unit_spf_steady_state_allocates_nothing();
   return TEST_MAIN_RESULT();

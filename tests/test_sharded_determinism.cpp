@@ -3,7 +3,9 @@
 // Each scenario below is run at several worker counts (and re-run at
 // the same count) and must produce an identical digest string every
 // time: cross-shard delivery order and times, ring-full drop decisions,
-// event totals, window counts, and a full sharded-Network workload.
+// event totals, window counts, and a full sharded-Network workload. That
+// workload also runs on the plain Scheduler, and a one-shard sharded
+// Network must match it.
 #include "sim/shard.hpp"
 
 #include <cstdint>
@@ -122,17 +124,23 @@ std::string ring_steady_state_digest(int threads) {
 }
 
 // ---------------------------------------------------------------------
-// Full stack: a sharded Network — four 3-node regions on four shards,
-// two cross-shard express wires carrying their own DIF and flows.
+// Full stack: four 3-node regions, two express wires carrying their own
+// DIF and flows, on the plain Scheduler, on one shard, or with each
+// region on its own shard (the express wires then cross shards).
 struct alignas(64) Cell {
   std::uint64_t v = 0;
 };
 
-std::string network_digest(int threads) {
+enum class Plan { plain, one_shard, four_shards };
+
+// The digest's shared fields, then "|" and the sharded driver's windows
+// and ring counts when there is one.
+std::string network_digest(Plan plan, int threads) {
   node::Network net(7);
-  net.enable_sharding(4, threads, /*ring_capacity=*/64);
+  if (plan != Plan::plain)
+    net.enable_sharding(plan == Plan::one_shard ? 1 : 4, threads, /*ring_capacity=*/64);
   auto hub = [](int r) { return "h" + std::to_string(r); };
-  for (int r = 0; r < 4; ++r) {
+  for (int r = 0; plan == Plan::four_shards && r < 4; ++r) {
     net.assign_shard(hub(r), r);
     net.assign_shard(hub(r) + "a", r);
     net.assign_shard(hub(r) + "b", r);
@@ -205,14 +213,18 @@ std::string network_digest(int threads) {
   senders.clear();
 
   std::string d = "ev=" + std::to_string(net.events_executed()) +
-                  ",win=" + std::to_string(net.sharded_sched()->windows()) +
-                  ",cross=" + std::to_string(net.sharded_sched()->cross_pushed()) +
-                  ",drop=" +
-                  std::to_string(net.sharded_sched()->cross_full_drops()) +
                   ",bytes=" + std::to_string(net.sum_link_counter("tx_bytes")) +
                   ",rxf=" + std::to_string(net.sum_link_counter("rx_frames"));
   for (const Cell& c : rx) d += "," + std::to_string(c.v);
+  if (const sim::ShardedScheduler* ss = net.sharded_sched())
+    d += "|win=" + std::to_string(ss->windows()) +
+         ",cross=" + std::to_string(ss->cross_pushed()) +
+         ",drop=" + std::to_string(ss->cross_full_drops());
   return d;
+}
+
+std::string shared_fields(const std::string& digest) {
+  return digest.substr(0, digest.find('|'));
 }
 
 void check_basics() {
@@ -271,10 +283,19 @@ int main() {
   CHECK(s1 == ring_steady_state_digest(2));  // rerun at 2 threads
   CHECK(s1 == ring_steady_state_digest(1));  // rerun single-threaded
 
-  std::string n1 = network_digest(1);
-  CHECK(n1 == network_digest(2));
-  CHECK(n1 == network_digest(4));
-  CHECK(n1 == network_digest(1));  // rerun stability
+  std::string n1 = network_digest(Plan::four_shards, 1);
+  CHECK(n1.find("drop=0") != std::string::npos);  // no ring ever filled
+  CHECK(n1 == network_digest(Plan::four_shards, 2));
+  CHECK(n1 == network_digest(Plan::four_shards, 4));
+  CHECK(n1 == network_digest(Plan::four_shards, 1));  // rerun stability
+
+  // The sharded core against the plain Scheduler. One shard must stop
+  // each run_until where the plain one stops, so every shared field
+  // matches; four shards, whose rings never filled, match too.
+  const std::string plain = network_digest(Plan::plain, 1);
+  CHECK(plain.find('|') == std::string::npos);
+  CHECK(shared_fields(network_digest(Plan::one_shard, 1)) == plain);
+  CHECK(shared_fields(n1) == plain);
 
   return TEST_MAIN_RESULT();
 }
