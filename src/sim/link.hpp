@@ -29,7 +29,9 @@
 // protocol guarantees the delivery time is still in that shard's
 // future. Cross directions get a private GE rng (the shared per-link
 // rng would be written from two shards); intra-shard links keep the
-// shared rng so single-shard runs reproduce pre-sharding outputs.
+// shared rng so single-shard runs reproduce pre-sharding outputs. Only
+// a link with GE loss holds generators (2.5 KB each); a lossless link
+// draws nothing.
 //
 // Counters are per-direction plain fields — tx-side fields written
 // only by the sender's shard, rx_frames only by the receiver's —
@@ -39,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <random>
 #include <string>
@@ -97,11 +100,11 @@ class Link {
         sched_b_(sched_b),
         cfg_(cfg),
         seed_(seed),
-        rng_(seed),
         name_a_(std::move(a)),
         name_b_(std::move(b)),
         ep_{Endpoint{this, 0}, Endpoint{this, 1}} {
     if (cfg_.ge) {
+      rng_ = std::make_unique<std::mt19937_64>(seed_);
       dir_[0].ge.emplace(*cfg_.ge);
       dir_[1].ge.emplace(*cfg_.ge);
     }
@@ -125,7 +128,8 @@ class Link {
     // be advanced from two shards. Seed derivation is fixed so results
     // do not depend on wiring order.
     if (d.ge)
-      d.own_rng.emplace(seed_ ^ (0x9e3779b97f4a7c15ULL * (side + 1)));
+      d.own_rng = std::make_unique<std::mt19937_64>(
+          seed_ ^ (0x9e3779b97f4a7c15ULL * (side + 1)));
     out->set_sink([this, side](CrossEntry&& e) {
       deliver_cross(side, std::move(e));
     });
@@ -233,8 +237,8 @@ class Link {
     std::function<void(Packet&&)> deliver;
     std::function<void()> on_ready;
     std::optional<GilbertElliottLoss> ge;
-    Boundary* xout = nullptr;                // cross-shard egress, or null
-    std::optional<std::mt19937_64> own_rng;  // GE rng for cross directions
+    Boundary* xout = nullptr;                  // cross-shard egress, or null
+    std::unique_ptr<std::mt19937_64> own_rng;  // GE rng for cross directions
     // Sender-shard counters (everything below but rx_frames):
     std::uint64_t tx_attempts = 0;
     std::uint64_t tx_carrier_lost = 0;
@@ -280,7 +284,7 @@ class Link {
         SimTime::from_sec(static_cast<double>(frame.size()) * 8.0 / cfg_.rate_bps);
     SimTime start = sch.now() < d.busy_until ? d.busy_until : sch.now();
     d.busy_until = start + tx_time;
-    bool lost = d.ge && d.ge->lose(d.own_rng ? *d.own_rng : rng_);
+    bool lost = d.ge && d.ge->lose(d.own_rng ? *d.own_rng : *rng_);
     if (lost) ++d.ge_lost;
 
     // Reserve both tie-break seqs NOW, serialization before delivery —
@@ -381,7 +385,7 @@ class Link {
   Scheduler& sched_b_;
   LinkConfig cfg_;
   std::uint64_t seed_;
-  std::mt19937_64 rng_;
+  std::unique_ptr<std::mt19937_64> rng_;  // set iff cfg_.ge
   std::string name_a_, name_b_;
   Direction dir_[2];
   Endpoint ep_[2];

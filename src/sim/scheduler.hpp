@@ -21,6 +21,11 @@
 //   - idle regions are skipped via per-level occupancy bitmaps rather
 //     than popped one heap node at a time.
 //
+// Nodes live in fixed 256-node pages that never move: growth appends a
+// page and copies no node or closure, so a Node& stays valid while a
+// callback schedules. Free nodes chain through their own `next` field
+// (LIFO), so cancelling or destroying a Timer never allocates.
+//
 // Timer handle contract (see README for the prose version):
 //   - `Timer t = sched.schedule_after(d, fn)` — owns the pending event.
 //     Destroying or assigning over `t` cancels it; `t.cancel()` is O(1)
@@ -45,6 +50,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -113,7 +119,7 @@ class Scheduler {
   [[nodiscard]] Timer schedule_at(SimTime t, Fn fn) {
     std::uint32_t i = new_node(clamp(t), 0, std::move(fn), /*detached=*/false);
     place(i);
-    return Timer{this, i, pool_[i].gen};
+    return Timer{this, i, node(i).gen};
   }
 
   [[nodiscard]] Timer schedule_after(SimTime delay, Fn fn) {
@@ -134,10 +140,10 @@ class Scheduler {
   /// arming order is free.
   [[nodiscard]] Timer schedule_at_seq(SimTime t, std::uint64_t seq, Fn fn) {
     std::uint32_t i = new_node(clamp(t), 0, std::move(fn), /*detached=*/false);
-    --seq_;              // undo new_node's draw: this event's seq was
-    pool_[i].seq = seq;  // reserved earlier; the stream must not shift
+    --seq_;             // undo new_node's draw: this event's seq was
+    node(i).seq = seq;  // reserved earlier; the stream must not shift
     place(i);
-    return Timer{this, i, pool_[i].gen};
+    return Timer{this, i, node(i).gen};
   }
 
   /// Refires every `interval` (first firing at now+interval) until the
@@ -147,7 +153,7 @@ class Scheduler {
     std::uint32_t i =
         new_node(clamp(now_ + interval), iv, std::move(fn), /*detached=*/false);
     place(i);
-    return Timer{this, i, pool_[i].gen};
+    return Timer{this, i, node(i).gen};
   }
 
   /// Fire-and-forget: no handle, not cancellable. For events that are
@@ -210,6 +216,10 @@ class Scheduler {
   static constexpr std::uint32_t kSlots = 1u << kLevelShift;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::int64_t kMaxNs = INT64_MAX;
+  // 256 nodes (~20 KB) a page: larger pages raise the peak RSS of runs
+  // whose whole pool fits in one.
+  static constexpr int kPageShift = 8;
+  static constexpr std::uint32_t kPageNodes = 1u << kPageShift;
 
   enum class State : std::uint8_t { free, armed, dead };
   enum class Loc : std::uint8_t { none, wheel, overflow, due, executing };
@@ -218,7 +228,8 @@ class Scheduler {
     SimTime time{};
     std::uint64_t seq = 0;
     std::int64_t interval_ns = 0;  // > 0: periodic
-    std::uint32_t next = kNil;     // wheel slot chain (doubly linked)
+    std::uint32_t next = kNil;     // wheel slot chain (doubly linked),
+                                   // or the free list while free
     std::uint32_t prev = kNil;
     std::uint32_t gen = 0;
     std::uint8_t level = 0;
@@ -250,17 +261,25 @@ class Scheduler {
     return static_cast<std::uint64_t>(t.ns) >> kGranularityShift;
   }
 
+  Node& node(std::uint32_t i) noexcept {
+    return pool_[i >> kPageShift][i & (kPageNodes - 1)];
+  }
+  const Node& node(std::uint32_t i) const noexcept {
+    return pool_[i >> kPageShift][i & (kPageNodes - 1)];
+  }
+
   std::uint32_t new_node(SimTime t, std::int64_t interval, Fn fn,
                          bool detached) {
-    std::uint32_t i;
-    if (!free_.empty()) {
-      i = free_.back();
-      free_.pop_back();
+    std::uint32_t i = free_head_;
+    if (i != kNil) {
+      free_head_ = node(i).next;
     } else {
-      i = static_cast<std::uint32_t>(pool_.size());
-      pool_.emplace_back();
+      i = pool_used_++;
+      if ((i & (kPageNodes - 1)) == 0)
+        pool_.push_back(std::make_unique<Node[]>(kPageNodes));
     }
-    Node& n = pool_[i];
+    Node& n = node(i);
+    n.next = kNil;
     n.time = t;
     n.seq = seq_++;
     n.interval_ns = interval;
@@ -272,12 +291,13 @@ class Scheduler {
   }
 
   void free_node(std::uint32_t i) {
-    Node& n = pool_[i];
+    Node& n = node(i);
     n.fn = nullptr;
     n.state = State::free;
     n.loc = Loc::none;
     ++n.gen;  // invalidate any outstanding handle / due entry
-    free_.push_back(i);
+    n.next = free_head_;
+    free_head_ = i;
   }
 
   /// File an armed node into due heap, wheel, or overflow, by its tick's
@@ -286,7 +306,7 @@ class Scheduler {
   /// holds ticks of one wheel revolution and harvesting a level-0 slot
   /// takes everything in it.
   void place(std::uint32_t i) {
-    Node& n = pool_[i];
+    Node& n = node(i);
     std::uint64_t tk = tick_of(n.time);
     if (tk <= tick_) {
       n.loc = Loc::due;
@@ -318,19 +338,19 @@ class Scheduler {
     n.slot = static_cast<std::uint8_t>(slot);
     n.prev = kNil;
     n.next = slots_[level][slot];
-    if (n.next != kNil) pool_[n.next].prev = i;
+    if (n.next != kNil) node(n.next).prev = i;
     slots_[level][slot] = i;
     bitmap_[level][slot >> 6] |= 1ull << (slot & 63);
     ++wheel_live_;
   }
 
   void unlink(std::uint32_t i) {
-    Node& n = pool_[i];
+    Node& n = node(i);
     if (n.prev != kNil)
-      pool_[n.prev].next = n.next;
+      node(n.prev).next = n.next;
     else
       slots_[n.level][n.slot] = n.next;
-    if (n.next != kNil) pool_[n.next].prev = n.prev;
+    if (n.next != kNil) node(n.next).prev = n.prev;
     if (slots_[n.level][n.slot] == kNil)
       bitmap_[n.level][n.slot >> 6] &= ~(1ull << (n.slot & 63));
     n.prev = n.next = kNil;
@@ -362,7 +382,7 @@ class Scheduler {
     bitmap_[0][s >> 6] &= ~(1ull << (s & 63));
     std::size_t appended = 0;
     while (i != kNil) {
-      Node& n = pool_[i];
+      Node& n = node(i);
       std::uint32_t next = n.next;
       n.prev = n.next = kNil;
       --wheel_live_;
@@ -385,8 +405,8 @@ class Scheduler {
     slots_[level][s] = kNil;
     bitmap_[level][s >> 6] &= ~(1ull << (s & 63));
     while (i != kNil) {
-      std::uint32_t next = pool_[i].next;
-      pool_[i].prev = pool_[i].next = kNil;
+      std::uint32_t next = node(i).next;
+      node(i).prev = node(i).next = kNil;
       --wheel_live_;
       place(i);
       i = next;
@@ -398,7 +418,7 @@ class Scheduler {
     while (!overflow_.empty()) {
       auto it = overflow_.begin();
       std::uint32_t i = it->second;
-      Node& n = pool_[i];
+      Node& n = node(i);
       if (n.state == State::dead) {  // cancelled while parked here
         overflow_.erase(it);
         free_node(i);
@@ -418,7 +438,7 @@ class Scheduler {
       // Copy, not reference: pop_heap moves another entry into front()
       // and a reference would silently retarget mid-iteration.
       DueEnt e = due_.front();
-      Node& n = pool_[e.idx];
+      Node& n = node(e.idx);
       if (n.gen == e.gen && n.state == State::armed && n.loc == Loc::due) return;
       std::pop_heap(due_.begin(), due_.end(), Later{});
       due_.pop_back();
@@ -440,7 +460,7 @@ class Scheduler {
         }
         prune_overflow_head();
         if (overflow_live_ == 0) continue;
-        std::uint64_t otk = tick_of(pool_[overflow_.begin()->second].time);
+        std::uint64_t otk = tick_of(node(overflow_.begin()->second).time);
         if (otk > limit_tk) {
           if (tick_ < limit_tk) tick_ = limit_tk;
           return false;
@@ -509,7 +529,7 @@ class Scheduler {
   void prune_overflow_head() {
     while (!overflow_.empty()) {
       auto it = overflow_.begin();
-      Node& n = pool_[it->second];
+      Node& n = node(it->second);
       if (n.state != State::dead) return;
       std::uint32_t i = it->second;
       overflow_.erase(it);
@@ -539,14 +559,14 @@ class Scheduler {
     --due_live_;
     if (now_.ns < e.ns) now_ = SimTime{e.ns};
     ++executed_;
-    // pool_ may reallocate if the callback schedules; re-index after.
-    if (pool_[e.idx].interval_ns > 0) {
-      pool_[e.idx].loc = Loc::executing;
-      Fn f = std::move(pool_[e.idx].fn);
-      f();
-      Node& n = pool_[e.idx];
+    Node& n = node(e.idx);
+    if (n.interval_ns > 0) {
+      // Periodic: the closure runs in place. Its node is neither freed
+      // nor reused until the callback returns (a cancel only marks it
+      // dead), and pages never move.
+      n.loc = Loc::executing;
+      n.fn();
       if (n.state == State::armed) {  // not cancelled mid-callback
-        n.fn = std::move(f);
         n.time = now_ + SimTime{n.interval_ns};
         n.seq = seq_++;
         place(e.idx);
@@ -554,7 +574,7 @@ class Scheduler {
         free_node(e.idx);
       }
     } else {
-      Fn f = std::move(pool_[e.idx].fn);
+      Fn f = std::move(n.fn);
       free_node(e.idx);  // handle goes stale *before* the callback runs
       f();
     }
@@ -564,13 +584,13 @@ class Scheduler {
   // ---- Timer support -------------------------------------------------
 
   bool node_armed(std::uint32_t i, std::uint32_t gen) const {
-    return i < pool_.size() && pool_[i].gen == gen &&
-           pool_[i].state == State::armed;
+    return i < pool_used_ && node(i).gen == gen &&
+           node(i).state == State::armed;
   }
 
   void cancel_node(std::uint32_t i, std::uint32_t gen) {
     if (tearing_down_ || !node_armed(i, gen)) return;
-    Node& n = pool_[i];
+    Node& n = node(i);
     switch (n.loc) {
       case Loc::wheel:
         unlink(i);
@@ -587,7 +607,9 @@ class Scheduler {
         n.fn = nullptr;
         --overflow_live_;
         break;
-      case Loc::executing:  // periodic cancelling itself mid-callback
+      case Loc::executing:
+        // A periodic cancelling itself mid-callback: its closure is still
+        // running, so only mark the node; fire_next frees it on return.
         n.state = State::dead;
         break;
       case Loc::none:
@@ -602,7 +624,7 @@ class Scheduler {
   /// shell behind — the handle is updated in place to the new identity.
   bool rearm_handle(std::uint32_t* ip, std::uint32_t* genp, SimTime t) {
     if (tearing_down_ || !node_armed(*ip, *genp)) return false;
-    Node& n = pool_[*ip];
+    Node& n = node(*ip);
     switch (n.loc) {
       case Loc::executing:
         return false;
@@ -627,7 +649,7 @@ class Scheduler {
         std::uint32_t ni = new_node(clamp(t), iv, std::move(f), det);
         place(ni);
         *ip = ni;
-        *genp = pool_[ni].gen;
+        *genp = node(ni).gen;
         return true;
       }
       case Loc::none:
@@ -637,8 +659,9 @@ class Scheduler {
   }
 
   bool tearing_down_ = false;
-  std::vector<Node> pool_;
-  std::vector<std::uint32_t> free_;
+  std::vector<std::unique_ptr<Node[]>> pool_;  // pages of kPageNodes
+  std::uint32_t pool_used_ = 0;  // nodes ever handed out: indices below it
+  std::uint32_t free_head_ = kNil;  // LIFO free list through Node::next
   std::uint32_t slots_[kLevels][kSlots];
   std::uint64_t bitmap_[kLevels][kSlots / 64] = {};
   std::multimap<std::int64_t, std::uint32_t> overflow_;  // sorted, FIFO ties

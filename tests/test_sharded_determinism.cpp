@@ -9,6 +9,7 @@
 #include "sim/shard.hpp"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,12 +25,16 @@ namespace {
 // Two shards joined by one cross link; both sides transmit on co-prime
 // periods so sends and deliveries interleave across many windows. Each
 // side's delivery log is written only by its own shard and concatenated
-// after the run (a shared log would itself be the race).
-std::string cross_link_digest(int threads) {
+// after the run (a shared log would itself be the race). With GE loss,
+// each cross direction draws from its own generator on its sender's
+// shard.
+std::string cross_link_digest(
+    int threads, std::optional<sim::GilbertElliottLoss::Params> ge = std::nullopt) {
   sim::ShardedScheduler ss(2, threads);
   sim::LinkConfig cfg;
   cfg.rate_bps = 1e9;
   cfg.delay = SimTime::from_ms(1);
+  cfg.ge = ge;
   sim::Link link(ss.shard(0), ss.shard(1), cfg, 42, "a", "b");
   ss.note_cross_delay(cfg.delay);
   link.set_cross(0, &ss.add_boundary(0, 1, 64));
@@ -56,7 +61,15 @@ std::string cross_link_digest(int threads) {
   return log0 + "|" + log1 + "|ev=" + std::to_string(ss.executed()) +
          ",cross=" + std::to_string(ss.cross_pushed()) +
          ",drop=" + std::to_string(ss.cross_full_drops()) +
-         ",win=" + std::to_string(ss.windows());
+         ",win=" + std::to_string(ss.windows()) +
+         ",tx=" + std::to_string(link.counter("tx_frames")) +
+         ",rx=" + std::to_string(link.counter("rx_frames")) +
+         ",lost=" + std::to_string(link.counter("ge_lost"));
+}
+
+/// The number after `key` in a digest.
+std::uint64_t field(const std::string& digest, const std::string& key) {
+  return std::stoull(digest.substr(digest.find(key) + key.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -271,6 +284,16 @@ int main() {
   CHECK(c1.find("b@") != std::string::npos);
   CHECK(c1 == cross_link_digest(2));
   CHECK(c1 == cross_link_digest(1));  // rerun at the same count
+  CHECK(field(c1, ",tx=") == 100 && field(c1, ",rx=") == 100);
+
+  sim::GilbertElliottLoss::Params lossy;
+  lossy.p_good_to_bad = 0.1;
+  const std::string g1 = cross_link_digest(1, lossy);
+  CHECK(g1 == cross_link_digest(2, lossy));
+  CHECK(g1 == cross_link_digest(1, lossy));  // rerun at the same count
+  CHECK(field(g1, ",lost=") > 0);
+  CHECK(field(g1, ",rx=") < field(g1, ",tx="));
+  CHECK(field(g1, ",rx=") + field(g1, ",lost=") == field(g1, ",tx="));
 
   std::string d1 = ring_full_drop_digest(1);
   CHECK(d1.find("ringdrop=0") == std::string::npos);  // drops did happen

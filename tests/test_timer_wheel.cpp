@@ -2,7 +2,10 @@
 // single-heap model on randomized programs, plus the Timer handle
 // contract: cancel before/at/after fire, cancel-on-destroy, rearm on
 // every residency path (wheel / due / overflow), far-future overflow
-// cascade, and periodic cadence.
+// cascade, and periodic cadence. The node store is paged: destroying
+// handles on every residency allocates nothing, and a periodic whose
+// callback appends pages keeps its cadence, the reference order and
+// its self-cancel.
 //
 // Residency note: sub-cases that pin an event's location (wheel slot,
 // due heap, overflow list) each use a fresh Scheduler — a draining
@@ -12,11 +15,27 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <random>
 #include <vector>
 
 #include "test_util.hpp"
+
+// Every heap allocation in this process, for the zero-allocation check.
+// Not inlined, so the compiler never pairs a caller's new with free().
+static std::size_t g_allocs = 0;
+
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace rina;
 
@@ -400,6 +419,143 @@ void bounded_runs_fire_everything_due() {
   CHECK(stranded == 0);
 }
 
+// Destroying handles never allocates, on any residency: a wheel node
+// goes straight back to the free list, a due or overflow node becomes
+// a shell that the drain frees later, and neither touches the heap.
+// 5,000 handles span 20 pages.
+void cancel_never_allocates() {
+  constexpr int kTimers = 5000;
+  sim::Scheduler s;
+  std::vector<sim::Timer> handles;
+  handles.reserve(kTimers);
+  int fired = 0;
+  for (int i = 0; i < kTimers; ++i) {
+    SimTime t;
+    switch (i % 3) {
+      case 0: t = SimTime{i % 1000}; break;                 // due (sub-tick)
+      case 1: t = SimTime::from_us(2 + i); break;           // wheel
+      default: t = SimTime::from_sec(3600 * 5 + i); break;  // overflow
+    }
+    handles.push_back(s.schedule_at(t, [&fired] { ++fired; }));
+  }
+  CHECK(s.pending() == static_cast<std::size_t>(kTimers));
+  const std::size_t before = g_allocs;
+  handles.clear();
+  s.run();  // frees the due and overflow shells
+  CHECK(g_allocs == before);
+  CHECK(fired == 0);
+  CHECK(s.pending() == 0);
+}
+
+// A periodic that schedules more than a page of one-shots on each
+// firing, cancels some of them at once and some at its next firing,
+// and cancels itself on its last. Pages are appended while its closure
+// runs in place. The closure (too large for std::function's inline
+// buffer) reads its captures again after the pool grew and after the
+// self-cancel, which a sanitizer build reports if the store moved the
+// node or the cancel freed the closure. The firing order, the
+// periodic's ticks included, must be the reference heap's.
+void pool_grows_inside_callbacks() {
+  constexpr int kFirings = 8;
+  constexpr int kPerFiring = 300;  // > one 256-node page
+  const std::int64_t kIv = SimTime::from_ms(1).ns;
+  struct Shot {
+    std::int64_t delta = 0;
+    bool cancel_now = false;
+    bool cancel_next = false;  // at the periodic's next firing
+  };
+  std::mt19937_64 rng(5);
+  std::vector<std::vector<Shot>> plan(
+      kFirings, std::vector<Shot>(static_cast<std::size_t>(kPerFiring)));
+  for (int k = 0; k < kFirings; ++k) {
+    for (Shot& sh : plan[static_cast<std::size_t>(k)]) {
+      // Sub-tick (due), up to 8 ms (wheel), and whole-ms ties with the
+      // periodic's own ticks.
+      switch (rng() % 4) {
+        case 0: sh.delta = static_cast<std::int64_t>(rng() % 1000); break;
+        case 1: sh.delta = kIv * static_cast<std::int64_t>(rng() % 8); break;
+        default: sh.delta = static_cast<std::int64_t>(rng() % 8000000); break;
+      }
+      sh.cancel_now = rng() % 8 == 0;
+      // Only a shot still pending at the next firing can be cancelled
+      // there; at an equal time the shot's older seq fires it first.
+      sh.cancel_next = !sh.cancel_now && k + 1 < kFirings && sh.delta > kIv &&
+                       rng() % 4 == 0;
+    }
+  }
+  struct Spawner {
+    const std::vector<std::vector<Shot>>* plan;
+    sim::Scheduler s;
+    sim::Timer self;
+    std::vector<sim::Timer> shots;  // by id
+    std::vector<int> order;         // one-shot ids; -1-k for tick k
+    std::vector<std::int64_t> ticks;
+    std::size_t peak_pending = 0;
+    int returns = 0;
+
+    void fire() {
+      const int k = static_cast<int>(ticks.size());
+      ticks.push_back(s.now().ns);
+      order.push_back(-1 - k);
+      const auto& mine = (*plan)[static_cast<std::size_t>(k)];
+      for (std::size_t j = 0; j < mine.size(); ++j) {
+        const int id = k * kPerFiring + static_cast<int>(j);
+        shots.push_back(s.schedule_after(SimTime{mine[j].delta},
+                                         [this, id] { order.push_back(id); }));
+      }
+      for (std::size_t j = 0; j < mine.size(); ++j)
+        if (mine[j].cancel_now)
+          shots[static_cast<std::size_t>(k * kPerFiring) + j].cancel();
+      if (k > 0) {
+        const auto& prev = (*plan)[static_cast<std::size_t>(k - 1)];
+        for (std::size_t j = 0; j < prev.size(); ++j) {
+          if (!prev[j].cancel_next) continue;
+          sim::Timer& t = shots[static_cast<std::size_t>((k - 1) * kPerFiring) + j];
+          CHECK(t.armed());
+          t.cancel();
+        }
+      }
+      peak_pending = std::max(peak_pending, s.pending());
+    }
+  };
+
+  Spawner sp;
+  sp.plan = &plan;
+  sp.self = sp.s.periodic(SimTime{kIv}, [c = &sp, iv = kIv, last = kFirings] {
+    c->fire();
+    if (c->ticks.size() == static_cast<std::size_t>(last)) c->self.cancel();
+    CHECK(c->s.now().ns % iv == 0);
+    ++c->returns;
+  });
+  sp.s.run();
+  CHECK(sp.s.pending() == 0);
+  CHECK(!sp.self.armed());
+  CHECK(sp.returns == kFirings);
+  CHECK(sp.peak_pending > 2 * 256);  // a third page appended mid-callback
+  CHECK(sp.ticks.size() == static_cast<std::size_t>(kFirings));
+  for (int k = 0; k < static_cast<int>(sp.ticks.size()); ++k)
+    CHECK(sp.ticks[static_cast<std::size_t>(k)] == (k + 1) * kIv);
+
+  // The reference: the periodic as a closure that reschedules itself
+  // after spawning, as the wheel re-places it after the callback.
+  std::vector<int> ref_order;
+  RefSched r;
+  std::function<void(int)> tick = [&](int k) {
+    ref_order.push_back(-1 - k);
+    const auto& mine = plan[static_cast<std::size_t>(k)];
+    for (std::size_t j = 0; j < mine.size(); ++j) {
+      if (mine[j].cancel_now || mine[j].cancel_next) continue;
+      const int id = k * kPerFiring + static_cast<int>(j);
+      r.schedule_after(mine[j].delta, [&ref_order, id] { ref_order.push_back(id); });
+    }
+    if (k + 1 < kFirings) r.schedule_after(kIv, [&tick, k] { tick(k + 1); });
+  };
+  r.schedule_after(kIv, [&tick] { tick(0); });
+  r.run();
+  CHECK(sp.order == ref_order);
+  CHECK(sp.order.size() > static_cast<std::size_t>(kFirings * kPerFiring / 2));
+}
+
 }  // namespace
 
 int main() {
@@ -412,5 +568,7 @@ int main() {
   periodic_cadence();
   counters_and_drain();
   bounded_runs_fire_everything_due();
+  cancel_never_allocates();
+  pool_grows_inside_callbacks();
   return TEST_MAIN_RESULT();
 }
