@@ -253,10 +253,14 @@ static void BM_Dijkstra(benchmark::State& state) {
 BENCHMARK(BM_Dijkstra)->Arg(16)->Arg(64)->Arg(256);
 
 static void BM_UnitSpf(benchmark::State& state) {
-  // BM_Dijkstra's ring of stars as a link-state database, routed the way
-  // Ipcp::run_spf routes it: the source's live links plus every other
-  // record through the unit-cost kernel, then the in-place FIB replace.
+  // A ring of stars as a link-state database, routed the way Ipcp::run_spf
+  // routes it: the source's live links plus every other record through the
+  // unit-cost kernel, then the in-place FIB replace. Each region is an
+  // anchor and per - 1 spokes, the anchors in a ring: per = 4 is
+  // BM_Dijkstra's graph, 12 x 20 is control_churn's 240-member DIF and
+  // 12 x 84 is c9's 1008-member one.
   auto n = static_cast<std::uint16_t>(state.range(0));
+  auto per = static_cast<std::uint16_t>(state.range(1));
   std::map<naming::Address, std::vector<naming::Address>> adj;
   auto link = [&](naming::Address a, naming::Address b) {
     adj[a].push_back(b);
@@ -265,7 +269,7 @@ static void BM_UnitSpf(benchmark::State& state) {
   for (std::uint16_t r = 0; r < n; ++r) {
     naming::Address border{static_cast<std::uint16_t>(r + 1), 1};
     link(border, naming::Address{static_cast<std::uint16_t>((r + 1) % n + 1), 1});
-    for (std::uint16_t s = 2; s <= 4; ++s)
+    for (std::uint16_t s = 2; s <= per; ++s)
       link(border, naming::Address{static_cast<std::uint16_t>(r + 1), s});
   }
   routing::Lsdb lsdb;
@@ -275,13 +279,19 @@ static void BM_UnitSpf(benchmark::State& state) {
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
   relay::ForwardingTable fib;
   for (auto _ : state) {
-    for (naming::Address nb : live) spf.add_link(src, nb);
+    for (naming::Address nb : live) spf.add_link(nb);
     fib.replace_routes(spf.solve(src, lsdb));
     benchmark::DoNotOptimize(fib.entry_count());
   }
   state.SetLabel(std::to_string(lsdb.size()) + " nodes");
 }
-BENCHMARK(BM_UnitSpf)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_UnitSpf)
+    ->ArgNames({"regions", "per"})
+    ->Args({16, 4})
+    ->Args({64, 4})
+    ->Args({256, 4})
+    ->Args({12, 20})
+    ->Args({12, 84});
 
 static void BM_TwoStepLookup(benchmark::State& state) {
   struct Route {

@@ -666,7 +666,7 @@ void Ipcp::run_spf() {
 
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
   for (const Port& p : ports_)
-    if (usable(p)) spf.add_link(address_, p.peer);
+    if (usable(p)) spf.add_link(p.peer);
   std::vector<routing::UnitSpf::Route>& routes = spf.solve(address_, lsdb_);
   // Every run re-derives every reachable destination; c9's SPF vtx/evt
   // and the benchmark's routing.spf_vertices read this count.

@@ -1,9 +1,9 @@
 // test_fib — Dijkstra with equal-cost sets, two-step forwarding lookups
 // (late PoA binding, round-robin), region aggregation, the directory and
 // its version stamps, the packed LSDB against a map, the unit-cost SPF
-// kernel over it against Dijkstra, and the FIB's route replace, which
-// with the kernel and an in-slot LSDB rewrite allocates nothing once
-// warm.
+// kernel over it against Dijkstra, packed whole and grown record by
+// record, and the FIB's route replace, which with the kernel and an
+// in-slot LSDB rewrite allocates nothing once warm.
 #include "naming/directory.hpp"
 #include "relay/forwarding.hpp"
 #include "routing/graph.hpp"
@@ -176,11 +176,11 @@ struct LsuRecord {
 using Lsdb = std::map<Address, LsuRecord>;
 
 std::uint64_t g_rng = 0x0DDC0FFEEull;
-std::uint64_t rnd(std::uint64_t n) {
-  g_rng ^= g_rng << 13;
-  g_rng ^= g_rng >> 7;
-  g_rng ^= g_rng << 17;
-  return g_rng % n;
+std::uint64_t rnd(std::uint64_t n, std::uint64_t& state = g_rng) {
+  state ^= state << 13;
+  state ^= state >> 7;
+  state ^= state << 17;
+  return state % n;
 }
 
 // What Ipcp::run_spf built before the kernel: the source's live links,
@@ -206,7 +206,7 @@ std::vector<routing::UnitSpf::Route>& unit_spf_over(Address src,
                                                     const std::vector<Address>& live,
                                                     const routing::Lsdb& db) {
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
-  for (Address n : live) spf.add_link(src, n);
+  for (Address n : live) spf.add_link(n);
   return spf.solve(src, db);
 }
 
@@ -231,6 +231,42 @@ bool any_unsorted_hops(const routing::SpfResult& full) {
   return false;
 }
 
+// The states the growing mode of unit_spf_oracle reached.
+struct Reached {
+  int recordless_between = 0;  // solves with 2+ record-less addresses between origins
+  int src_recordless = 0;      // solves whose source has no record
+  int puts[2][2] = {};         // puts by [source has a record][origin sorts after it]
+};
+
+// Puts `lsdb`'s records into an empty LSDB one at a time, in a seeded random
+// origin order (its own stream, so the packed trials stay as they were),
+// and checks the kernel against Dijkstra over the same records after each.
+void check_growing(Address src, const std::vector<Address>& live, const Lsdb& lsdb,
+                   Reached& reached) {
+  static std::uint64_t order_rng = 0x5EEDF00Dull;
+  std::vector<Address> order;
+  for (const auto& [origin, rec] : lsdb) order.push_back(origin);
+  for (std::size_t i = order.size(); i > 1; --i)
+    std::swap(order[i - 1], order[rnd(i, order_rng)]);
+  Lsdb grown;
+  routing::Lsdb db;
+  for (Address o : order) {
+    if (o != src) ++reached.puts[grown.count(src)][src < o];
+    const LsuRecord& rec = grown[o] = lsdb.at(o);
+    db.put(o, 1, rec.neighbors);
+    CHECK(same_routes(unit_spf_over(src, live, db), dijkstra_over(src, live, grown)));
+    if (grown.count(src) == 0) ++reached.src_recordless;
+    std::set<Address> named(live.begin(), live.end());
+    for (const auto& [origin, r] : grown)
+      if (origin != src) named.insert(r.neighbors.begin(), r.neighbors.end());
+    int between = 0;
+    for (Address a : named)
+      if (grown.count(a) == 0 && grown.begin()->first < a && a < grown.rbegin()->first)
+        ++between;
+    if (between >= 2) ++reached.recordless_between;
+  }
+}
+
 }  // namespace
 
 // Differential oracle: seeded random LSDBs shaped like c9's (regions of an
@@ -240,8 +276,12 @@ bool any_unsorted_hops(const routing::SpfResult& full) {
 // island no path reaches, and a stale record of the source — routed by
 // Graph::dijkstra over the map and by the kernel over the map packed into
 // a routing::Lsdb, so the trials check the store and the kernel together.
+// Each trial is then grown record by record (check_growing), so solves
+// also see a source with no record, record-less addresses that sort
+// between records, and origins arriving on either side of the source.
 static void unit_spf_oracle() {
   int unsorted = 0;
+  Reached reached;
   for (int trial = 0; trial < 300; ++trial) {
     const int regions = 2 + static_cast<int>(rnd(8));
     const int per = 1 + static_cast<int>(rnd(6));
@@ -286,10 +326,15 @@ static void unit_spf_oracle() {
     CHECK(same_routes(unit_spf_over(src, live, packed(lsdb)), full));
     if (any_unsorted_hops(full)) ++unsorted;
     CHECK(full.entries.count(Address{91, 1}) == 0);
+    check_growing(src, live, lsdb, reached);
   }
   // The trials include hop vectors that are not in address order, so the
   // comparison above checks order, not just membership.
   CHECK(unsorted > 0);
+  CHECK(reached.recordless_between > 0);
+  CHECK(reached.src_recordless > 0);
+  for (const auto& by_side : reached.puts)
+    for (int n : by_side) CHECK(n > 0);
 
   // A source with more than 64 neighbors: 70 spokes, listed in reverse
   // address order, all reaching one hub, and a tail behind the hub that
