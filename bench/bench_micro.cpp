@@ -2,8 +2,9 @@
 //
 // These calibrate the simulator's building blocks: header codec costs,
 // RIEP message costs, SPF (Graph::dijkstra and the unit-cost kernel
-// Ipcp runs), two-step FIB lookups, RIB operations, and a
-// full EFCP write→deliver round trip through two wired connections.
+// Ipcp runs), two-step FIB lookups, RIB operations, the timing wheel
+// under a small and a timer_scale-sized pending set, and a full EFCP
+// write→deliver round trip through two wired connections.
 //
 // The "Encap" section measures the zero-copy SDU datapath: how many
 // payload copies one SDU costs end-to-end as DIF stacking depth grows.
@@ -18,6 +19,9 @@
 // for an exclusively-owned frame (see EXPERIMENTS.md for the aliased
 // reliable-flow caveat).
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <chrono>
 
 #include "efcp/connection.hpp"
 #include "naming/directory.hpp"
@@ -335,6 +339,71 @@ static void BM_SchedulerChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchedulerChurn);
+
+// timer_scale's standing timer population (benchmark/workloads.cpp,
+// TimerScale) on a bare scheduler: 2,500 node ticks at 1 ms staggered
+// over 16 phases, plus Arg soft-state periodics per node with periods
+// of 1.0-2.875 s, each first firing at a hashed phase of its period.
+// Arg 256 is the workload's ~642k pending timers. An iteration runs
+// 1 ms of simulated time. ns/event is the wall time of those runs over
+// the events they fire; heap_B/timer is the heap the scheduler holds
+// for the population (mallinfo2's bytes in use after set-up, less the
+// bytes before and the handle vector) over the pending timers.
+static void BM_SchedulerLargePending(benchmark::State& state) {
+  constexpr int kNodes = 2500;
+  const auto soft_per_node = static_cast<int>(state.range(0));
+  const std::size_t heap_before = mallinfo2().uordblks;
+  sim::Scheduler sched;
+  std::vector<sim::Timer> timers;
+  timers.reserve(static_cast<std::size_t>(kNodes) *
+                 static_cast<std::size_t>(1 + soft_per_node));
+  std::uint64_t fires = 0;
+  std::uint64_t phase_rng = 0x50F7ull;
+  auto splitmix = [&phase_rng] {
+    std::uint64_t z = (phase_rng += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  const SimTime tick = SimTime::from_ms(1);
+  for (int i = 0; i < kNodes; ++i) {
+    sim::Timer t = sched.periodic(tick, [&fires] { ++fires; });
+    (void)t.rearm_at(SimTime{tick.ns * ((i % 16) + 1) / 16});
+    timers.push_back(std::move(t));
+    for (int j = 0; j < soft_per_node; ++j) {
+      SimTime period{SimTime::from_sec(1).ns +
+                     ((i * soft_per_node + j) % 16) * SimTime::from_ms(125).ns};
+      sim::Timer s = sched.periodic(period, [&fires] { ++fires; });
+      auto phase = static_cast<std::int64_t>(splitmix() %
+                                             static_cast<std::uint64_t>(period.ns));
+      (void)s.rearm_at(SimTime{1 + phase});
+      timers.push_back(std::move(s));
+    }
+  }
+  const std::size_t pending = sched.pending();
+  const double heap = static_cast<double>(mallinfo2().uordblks - heap_before -
+                                          timers.capacity() * sizeof(sim::Timer));
+
+  const std::uint64_t events_before = sched.executed();
+  std::chrono::steady_clock::duration ran{};
+  for (auto _ : state) {
+    auto t0 = std::chrono::steady_clock::now();
+    sched.run_for(tick);
+    ran += std::chrono::steady_clock::now() - t0;
+  }
+  const double events = static_cast<double>(sched.executed() - events_before);
+  benchmark::DoNotOptimize(fires);
+  state.counters["ns/event"] = benchmark::Counter(
+      events > 0 ? static_cast<double>(
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(ran).count()) /
+                       events
+                 : 0.0);
+  state.counters["heap_B/timer"] =
+      benchmark::Counter(heap / static_cast<double>(pending));
+  state.counters["pending"] = benchmark::Counter(static_cast<double>(pending));
+  state.SetLabel(std::to_string(soft_per_node) + " soft/node");
+}
+BENCHMARK(BM_SchedulerLargePending)->Arg(4)->Arg(256);
 
 static void BM_EfcpRoundTrip(benchmark::State& state) {
   // Two EFCP connections wired back-to-back: SDU write -> PDU -> peer

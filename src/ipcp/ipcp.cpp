@@ -403,8 +403,9 @@ void Ipcp::deliver_local(efcp::Pdu&& pdu) {
     }
     return;
   }
-  // Data / ack: demultiplex on the destination CEP — two dense vector
-  // indexes, not a map walk; this is the per-PDU hot path.
+  // Data / ack: demultiplex on the destination CEP — a probe of the
+  // live-CEP table and a vector index, not a map walk; this is the
+  // per-PDU hot path.
   auto* rec = fa_.by_cep(pdu.pci.dest_cep);
   if (rec == nullptr || !rec->conn) {
     rmt_.stats_.inc("drop_no_cep");
@@ -1341,7 +1342,7 @@ void FlowAllocator::allocate(const naming::AppName& local,
   pend.spec = spec;
   pend.cb = std::move(cb);
   pend.cube = *cube;
-  pend.local_cep = next_cep_++;
+  pend.local_cep = fresh_cep();
   pend.deadline = self_.sched().now() + kAllocDeadline;
   pending_.emplace(invoke, std::move(pend));
   stats_.inc("alloc_requests");
@@ -1569,11 +1570,11 @@ void FlowAllocator::on_flow_req(const efcp::Pci& /*pci*/, const rib::RiepMessage
   rec->remote = src_app;
   rec->peer = src_addr;
   rec->cube = *cube;
-  rec->local_cep = next_cep_++;
+  rec->local_cep = fresh_cep();
   rec->remote_cep = src_cep;
   create_connection(*rec);
   flow::PortId port = rec->port;
-  set_cep(rec->local_cep, port);
+  by_cep_.put(rec->local_cep, port);
   remote_flow_index_[key] = port;
   stats_.inc("flows_accepted");
 
@@ -1630,7 +1631,7 @@ void FlowAllocator::on_flow_resp(const efcp::Pci& pci, const rib::RiepMessage& m
   info.local = pend.local;
   info.remote = pend.remote;
   info.dif = self_.cfg_.name;
-  set_cep(rec->local_cep, rec->port);
+  by_cep_.put(rec->local_cep, rec->port);
   insert_rec(std::move(rec));
   stats_.inc("flows_allocated");
   finish_pending(m.invoke_id, info);
@@ -1730,7 +1731,7 @@ void FlowAllocator::finish_close(FlowRec& rec) {
   std::uint64_t key =
       (static_cast<std::uint64_t>(rec.peer.key()) << 16) | rec.remote_cep;
   remote_flow_index_.erase(key);
-  if (rec.local_cep < by_cep_.size()) by_cep_[rec.local_cep] = 0;
+  by_cep_.erase(rec.local_cep);
   flows_[port].reset();  // rec dies here; its owned timers cancel with it
   --flow_count_;
   self_.host_.release_port_id(port);

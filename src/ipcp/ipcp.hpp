@@ -178,8 +178,86 @@ class FlowAllocator {
 
   void close_all(bool notify_peers);
 
+  /// Slots in the CEP demultiplex table: set by the most flows open at
+  /// once, however many have come and gone.
+  [[nodiscard]] std::size_t cep_slots() const noexcept {
+    return by_cep_.slots();
+  }
+
  private:
   friend class Ipcp;
+
+  /// Local CEP-id -> port-id for live flows: an open-addressing table
+  /// with linear probing, doubled when half full and erased by backward
+  /// shift (no tombstones), so its size follows the most flows ever open
+  /// at once, not the CEP-ids ever handed out. Port-id 0 marks a free
+  /// slot.
+  class CepTable {
+   public:
+    [[nodiscard]] flow::PortId find(efcp::CepId c) const noexcept {
+      if (slots_.empty()) return 0;
+      for (std::size_t i = home(c);; i = (i + 1) & mask()) {
+        if (slots_[i].port == 0) return 0;
+        if (slots_[i].cep == c) return slots_[i].port;
+      }
+    }
+
+    /// Map c to p, replacing c's entry if it has one.
+    void put(efcp::CepId c, flow::PortId p) {
+      if (2 * (live_ + 1) > slots_.size()) grow();
+      std::size_t i = home(c);
+      while (slots_[i].port != 0 && slots_[i].cep != c) i = (i + 1) & mask();
+      if (slots_[i].port == 0) ++live_;
+      slots_[i] = Slot{p, c};
+    }
+
+    void erase(efcp::CepId c) noexcept {
+      if (slots_.empty()) return;
+      std::size_t i = home(c);
+      for (;; i = (i + 1) & mask()) {
+        if (slots_[i].port == 0) return;
+        if (slots_[i].cep == c) break;
+      }
+      // Pull later entries of the probe run back into the hole, each one
+      // whose home lies at or before the hole (cyclically).
+      for (std::size_t j = (i + 1) & mask(); slots_[j].port != 0;
+           j = (j + 1) & mask()) {
+        if (((j - home(slots_[j].cep)) & mask()) >= ((j - i) & mask())) {
+          slots_[i] = slots_[j];
+          i = j;
+        }
+      }
+      slots_[i] = Slot{};
+      --live_;
+    }
+
+    [[nodiscard]] std::size_t slots() const noexcept { return slots_.size(); }
+
+   private:
+    struct Slot {
+      flow::PortId port = 0;
+      efcp::CepId cep = 0;
+    };
+
+    [[nodiscard]] std::size_t mask() const noexcept {
+      return slots_.size() - 1;
+    }
+    /// Fibonacci hash: sequential CEP-ids land far apart.
+    [[nodiscard]] std::size_t home(efcp::CepId c) const noexcept {
+      return static_cast<std::size_t>((c * 0x9E3779B9u) >> 16) & mask();
+    }
+
+    void grow() {
+      std::vector<Slot> old = std::move(slots_);
+      slots_.assign(old.empty() ? 8 : 2 * old.size(), Slot{});
+      live_ = 0;
+      for (const Slot& s : old)
+        if (s.port != 0) put(s.cep, s.port);
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t live_ = 0;
+  };
 
   struct FlowRec {
     flow::PortId port = 0;
@@ -214,13 +292,15 @@ class FlowAllocator {
   FlowRec* by_port(flow::PortId p) {
     return p < flows_.size() ? flows_[p].get() : nullptr;
   }
-  /// CEP demultiplex for the per-PDU hot path: two vector indexes.
-  FlowRec* by_cep(efcp::CepId c) {
-    return c < by_cep_.size() ? by_port(by_cep_[c]) : nullptr;
-  }
-  void set_cep(efcp::CepId c, flow::PortId p) {
-    if (by_cep_.size() <= c) by_cep_.resize(static_cast<std::size_t>(c) + 1, 0);
-    by_cep_[c] = p;
+  /// CEP demultiplex for the per-PDU hot path: a probe of the live-CEP
+  /// table, then a vector index.
+  FlowRec* by_cep(efcp::CepId c) { return by_port(by_cep_.find(c)); }
+  /// The next local CEP-id in sequence. Once the 16-bit counter wraps it
+  /// skips 0 and every id a live flow holds, so a new flow never takes
+  /// over a live one's PDUs.
+  efcp::CepId fresh_cep() {
+    while (next_cep_ == 0 || by_cep_.find(next_cep_) != 0) ++next_cep_;
+    return next_cep_++;
   }
   void insert_rec(std::unique_ptr<FlowRec> rec) {
     flow::PortId port = rec->port;
@@ -250,11 +330,12 @@ class FlowAllocator {
   Ipcp& self_;
   Stats stats_;
   std::map<naming::AppName, flow::AcceptFn> apps_;
-  // Hot-path flow lookup is dense: flows_ is indexed by port-id (the
-  // host hands them out low-first and recycles), by_cep_ by local CEP-id
-  // (sequential, 0 = unused). Both replace per-PDU map walks.
+  // Hot-path flow lookup: flows_ is indexed by port-id (the host hands
+  // them out low-first and recycles), by_cep_ maps each live flow's
+  // local CEP-id (sequential; see fresh_cep) to its port. Neither walks
+  // a map per PDU.
   std::vector<std::unique_ptr<FlowRec>> flows_;
-  std::vector<flow::PortId> by_cep_;
+  CepTable by_cep_;
   std::size_t flow_count_ = 0;
   std::map<std::uint64_t, flow::PortId> remote_flow_index_;  // (peer, cep)
   std::map<std::uint32_t, Pending> pending_;

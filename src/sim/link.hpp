@@ -9,16 +9,21 @@
 // signal the RMT turns into queueing above the NIC. Frames in flight
 // when the link goes down are lost (epoch check at delivery).
 //
-// Event economy: each direction keeps two monotone deques —
+// Event economy: each direction keeps two monotone FIFOs —
 // serialization completion times and in-flight frames with delivery
-// times — and holds exactly one armed Timer per deque, set to the
+// times — and holds exactly one armed Timer per FIFO, set to the
 // head's due time; a firing handles ONE entry and re-arms at the new
 // head. Every frame reserves its two tie-break sequence numbers
 // (serialization, then delivery) from the scheduler at send() time via
 // reserve_seq, and deferred arming replays them with schedule_at_seq,
 // so among equal-time events the firing order is exactly the send
 // order — byte-identical to scheduling two closures per frame eagerly,
-// at one live timer per deque.
+// at one live timer per FIFO.
+//
+// Memory: a FIFO is a ring that allocates on its first push, doubles
+// when full, and frees its ring when it drains after growing past a
+// few entries. A link that never carries a frame allocates nothing,
+// and a burst does not leave its buffer behind on a quiet wire.
 //
 // Sharding: a direction whose endpoints live on different shards is
 // wired to a sim::Boundary (set_cross). Serialization still runs on
@@ -39,9 +44,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <random>
 #include <string>
@@ -207,7 +212,78 @@ class Link {
 
   [[nodiscard]] const LinkConfig& config() const { return cfg_; }
 
+  /// Heap bytes held by both directions' FIFO rings: 0 until a frame is
+  /// sent, and back to at most the small rings once traffic drains.
+  [[nodiscard]] std::size_t fifo_bytes() const noexcept {
+    std::size_t b = 0;
+    for (const Direction& d : dir_)
+      b += d.ser_done.capacity() * sizeof(SerDone) +
+           d.inflight.capacity() * sizeof(InFlight);
+    return b;
+  }
+
  private:
+  /// FIFO ring for a link direction's entries. Holds no storage until the
+  /// first push; doubles when full; once it drains, gives its ring back if
+  /// the ring had grown past kSmall entries. Capacity is a power of two.
+  template <typename T>
+  class Fifo {
+   public:
+    static constexpr std::uint32_t kSmall = 4;
+
+    Fifo() noexcept = default;
+    Fifo(const Fifo&) = delete;
+    Fifo& operator=(const Fifo&) = delete;
+    ~Fifo() {
+      while (size_ > 0) pop_front();
+      release();
+    }
+
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
+
+    T& front() noexcept { return ring_[head_]; }
+
+    void push_back(T&& v) {
+      if (size_ == cap_) grow();
+      T* slot = ring_ + ((head_ + size_) & (cap_ - 1));
+      ::new (static_cast<void*>(slot)) T(std::move(v));
+      ++size_;
+    }
+
+    void pop_front() noexcept {
+      ring_[head_].~T();
+      head_ = (head_ + 1) & (cap_ - 1);
+      if (--size_ == 0 && cap_ > kSmall) release();
+    }
+
+   private:
+    void grow() {
+      std::uint32_t cap = cap_ == 0 ? 2 : 2 * cap_;
+      T* ring = std::allocator<T>{}.allocate(cap);
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        T& from = ring_[(head_ + i) & (cap_ - 1)];
+        ::new (static_cast<void*>(ring + i)) T(std::move(from));
+        from.~T();
+      }
+      release();
+      ring_ = ring;
+      cap_ = cap;
+    }
+
+    void release() noexcept {
+      if (ring_ != nullptr) std::allocator<T>{}.deallocate(ring_, cap_);
+      ring_ = nullptr;
+      cap_ = 0;
+      head_ = 0;
+    }
+
+    T* ring_ = nullptr;
+    std::uint32_t cap_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+  };
+
   struct SerDone {
     SimTime at;
     std::uint64_t seq;  // reserved at send(); replayed when arming
@@ -224,10 +300,10 @@ class Link {
   struct Direction {
     SimTime busy_until{};
     std::size_t queued = 0;
-    std::deque<SerDone> ser_done;   // serialization completions, monotone
-    std::deque<InFlight> inflight;  // deliveries, monotone (intra-shard)
-    Timer tx_timer;                 // armed at ser_done.front()
-    Timer rx_timer;                 // armed at inflight.front().at
+    Fifo<SerDone> ser_done;   // serialization completions, monotone
+    Fifo<InFlight> inflight;  // deliveries, monotone (intra-shard)
+    Timer tx_timer;           // armed at ser_done.front()
+    Timer rx_timer;           // armed at inflight.front().at
     // Mirrors of {tx,rx}_timer.armed(), maintained at the only two
     // transition points (arm here, clear at fire entry). armed() walks
     // the scheduler's node pool — a guaranteed cache miss per frame on

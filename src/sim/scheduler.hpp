@@ -24,7 +24,10 @@
 // Nodes live in fixed 256-node pages that never move: growth appends a
 // page and copies no node or closure, so a Node& stays valid while a
 // callback schedules. Free nodes chain through their own `next` field
-// (LIFO), so cancelling or destroying a Timer never allocates.
+// (LIFO), so cancelling or destroying a Timer never allocates. A node
+// is one 64-byte cache line: its closure is a 24-byte `Callback` that
+// keeps closures of up to 16 bytes (a `this` plus an index, or one
+// shared_ptr) inline and boxes larger ones on the heap.
 //
 // Timer handle contract (see README for the prose version):
 //   - `Timer t = sched.schedule_after(d, fn)` — owns the pending event.
@@ -48,9 +51,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,6 +64,116 @@
 namespace rina::sim {
 
 class Scheduler;
+
+/// Move-only `void()` callable in 24 bytes: a 16-byte buffer and a
+/// pointer to a static table of operations for the stored closure's
+/// type. A closure of up to 16 bytes that moves without throwing lives
+/// in the buffer; any other is boxed on the heap and the buffer holds
+/// its pointer. Moving a boxed or trivially copyable closure copies the
+/// buffer's bytes; only an inline closure with a non-trivial move (a
+/// captured shared_ptr, say) goes through the table.
+class Callback {
+ public:
+  Callback() noexcept = default;
+
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
+                                        std::is_invocable_r_v<void, D&>>>
+  Callback(F&& f) {  // implicit: callers pass lambdas
+    if constexpr (kInline<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    } else {
+      D* boxed = new D(std::forward<F>(f));
+      std::memcpy(buf_, &boxed, sizeof boxed);
+    }
+    ops_ = &kOps<D>;
+  }
+
+  Callback(Callback&& o) noexcept : ops_(o.ops_) { take(o); }
+  Callback& operator=(Callback&& o) noexcept {
+    if (this != &o) {
+      reset();
+      ops_ = o.ops_;
+      take(o);
+    }
+    return *this;
+  }
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
+  ~Callback() { reset(); }
+
+  /// Destroy the stored closure, if any. The callable is empty before
+  /// the closure's destructor runs, so code in that destructor sees it
+  /// empty.
+  void reset() noexcept {
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    if (ops != nullptr && ops->destroy != nullptr) ops->destroy(buf_);
+  }
+
+  void operator()() { ops_->call(buf_); }
+
+ private:
+  struct Ops {
+    void (*call)(void* buf);
+    // Move-construct the closure at dst from the one at src and destroy
+    // src's. Null when a byte copy does both.
+    void (*relocate)(void* dst, void* src) noexcept;
+    void (*destroy)(void* buf) noexcept;  // null: nothing to destroy
+  };
+
+  static constexpr std::size_t kBufBytes = 16;
+
+  template <typename D>
+  static constexpr bool kInline = sizeof(D) <= kBufBytes &&
+                                  alignof(D) <= alignof(void*) &&
+                                  std::is_nothrow_move_constructible_v<D>;
+
+  template <typename D>
+  static D* inline_ptr(void* buf) noexcept {
+    return std::launder(static_cast<D*>(buf));
+  }
+  template <typename D>
+  static D* boxed_ptr(void* buf) noexcept {
+    D* p = nullptr;
+    std::memcpy(&p, buf, sizeof p);
+    return p;
+  }
+
+  template <typename D>
+  static constexpr Ops make_ops() noexcept {
+    if constexpr (!kInline<D>) {
+      return Ops{[](void* b) { (*boxed_ptr<D>(b))(); }, nullptr,
+                 [](void* b) noexcept { delete boxed_ptr<D>(b); }};
+    } else if constexpr (std::is_trivially_copyable_v<D>) {
+      return Ops{[](void* b) { (*inline_ptr<D>(b))(); }, nullptr, nullptr};
+    } else {
+      return Ops{[](void* b) { (*inline_ptr<D>(b))(); },
+                 [](void* dst, void* src) noexcept {
+                   D* from = inline_ptr<D>(src);
+                   ::new (dst) D(std::move(*from));
+                   from->~D();
+                 },
+                 [](void* b) noexcept { inline_ptr<D>(b)->~D(); }};
+    }
+  }
+  template <typename D>
+  static constexpr Ops kOps = make_ops<D>();
+
+  /// Move o's closure into this buffer (ops_ already copied from o).
+  void take(Callback& o) noexcept {
+    if (ops_ == nullptr) return;
+    if (ops_->relocate != nullptr)
+      ops_->relocate(buf_, o.buf_);
+    else
+      std::memcpy(buf_, o.buf_, kBufBytes);
+    o.ops_ = nullptr;
+  }
+
+  alignas(void*) unsigned char buf_[kBufBytes];
+  const Ops* ops_ = nullptr;
+};
+static_assert(sizeof(Callback) == 24);
 
 /// Move-only handle to a pending event. Destruction cancels. See the
 /// contract in the file header.
@@ -102,7 +217,7 @@ class Timer {
 
 class Scheduler {
  public:
-  using Fn = std::function<void()>;
+  using Fn = Callback;
 
   Scheduler() {
     for (auto& level : slots_)
@@ -117,7 +232,7 @@ class Scheduler {
   /// One-shot at absolute time t (clamped to now). The returned handle
   /// owns the event; discarding it cancels immediately.
   [[nodiscard]] Timer schedule_at(SimTime t, Fn fn) {
-    std::uint32_t i = new_node(clamp(t), 0, std::move(fn), /*detached=*/false);
+    std::uint32_t i = new_node(clamp(t), 0, std::move(fn));
     place(i);
     return Timer{this, i, node(i).gen};
   }
@@ -139,7 +254,7 @@ class Scheduler {
   /// reserve_seq). The seq only breaks ties among equal-time events;
   /// arming order is free.
   [[nodiscard]] Timer schedule_at_seq(SimTime t, std::uint64_t seq, Fn fn) {
-    std::uint32_t i = new_node(clamp(t), 0, std::move(fn), /*detached=*/false);
+    std::uint32_t i = new_node(clamp(t), 0, std::move(fn));
     --seq_;             // undo new_node's draw: this event's seq was
     node(i).seq = seq;  // reserved earlier; the stream must not shift
     place(i);
@@ -151,7 +266,7 @@ class Scheduler {
   [[nodiscard]] Timer periodic(SimTime interval, Fn fn) {
     std::int64_t iv = interval.ns > 0 ? interval.ns : 1;
     std::uint32_t i =
-        new_node(clamp(now_ + interval), iv, std::move(fn), /*detached=*/false);
+        new_node(clamp(now_ + interval), iv, std::move(fn));
     place(i);
     return Timer{this, i, node(i).gen};
   }
@@ -159,7 +274,7 @@ class Scheduler {
   /// Fire-and-forget: no handle, not cancellable. For events that are
   /// safe to run regardless of object lifetimes.
   void post_at(SimTime t, Fn fn) {
-    place(new_node(clamp(t), 0, std::move(fn), /*detached=*/true));
+    place(new_node(clamp(t), 0, std::move(fn)));
   }
   void post_after(SimTime delay, Fn fn) { post_at(now_ + delay, std::move(fn)); }
 
@@ -216,7 +331,7 @@ class Scheduler {
   static constexpr std::uint32_t kSlots = 1u << kLevelShift;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::int64_t kMaxNs = INT64_MAX;
-  // 256 nodes (~20 KB) a page: larger pages raise the peak RSS of runs
+  // 256 nodes (16 KiB) a page: larger pages raise the peak RSS of runs
   // whose whole pool fits in one.
   static constexpr int kPageShift = 8;
   static constexpr std::uint32_t kPageNodes = 1u << kPageShift;
@@ -224,7 +339,7 @@ class Scheduler {
   enum class State : std::uint8_t { free, armed, dead };
   enum class Loc : std::uint8_t { none, wheel, overflow, due, executing };
 
-  struct Node {
+  struct alignas(64) Node {
     SimTime time{};
     std::uint64_t seq = 0;
     std::int64_t interval_ns = 0;  // > 0: periodic
@@ -236,9 +351,9 @@ class Scheduler {
     std::uint8_t slot = 0;
     State state = State::free;
     Loc loc = Loc::none;
-    bool detached = false;  // post_*: no handle will ever cancel it
     Fn fn;
   };
+  static_assert(sizeof(Node) == 64, "a pending timer is one cache line");
 
   struct DueEnt {
     std::int64_t ns;
@@ -268,8 +383,7 @@ class Scheduler {
     return pool_[i >> kPageShift][i & (kPageNodes - 1)];
   }
 
-  std::uint32_t new_node(SimTime t, std::int64_t interval, Fn fn,
-                         bool detached) {
+  std::uint32_t new_node(SimTime t, std::int64_t interval, Fn fn) {
     std::uint32_t i = free_head_;
     if (i != kNil) {
       free_head_ = node(i).next;
@@ -285,14 +399,13 @@ class Scheduler {
     n.interval_ns = interval;
     n.state = State::armed;
     n.loc = Loc::none;
-    n.detached = detached;
     n.fn = std::move(fn);
     return i;
   }
 
   void free_node(std::uint32_t i) {
     Node& n = node(i);
-    n.fn = nullptr;
+    n.fn.reset();
     n.state = State::free;
     n.loc = Loc::none;
     ++n.gen;  // invalidate any outstanding handle / due entry
@@ -599,12 +712,12 @@ class Scheduler {
         break;
       case Loc::due:  // heap entry still points here: leave a dead shell
         n.state = State::dead;
-        n.fn = nullptr;
+        n.fn.reset();
         --due_live_;
         break;
       case Loc::overflow:  // multimap entry still points here: shell
         n.state = State::dead;
-        n.fn = nullptr;
+        n.fn.reset();
         --overflow_live_;
         break;
       case Loc::executing:
@@ -639,14 +752,12 @@ class Scheduler {
       case Loc::overflow: {
         Fn f = std::move(n.fn);
         std::int64_t iv = n.interval_ns;
-        bool det = n.detached;
         n.state = State::dead;
-        n.fn = nullptr;
         if (n.loc == Loc::due)
           --due_live_;
         else
           --overflow_live_;
-        std::uint32_t ni = new_node(clamp(t), iv, std::move(f), det);
+        std::uint32_t ni = new_node(clamp(t), iv, std::move(f));
         place(ni);
         *ip = ni;
         *genp = node(ni).gen;

@@ -2,7 +2,8 @@
 // handles, name-only allocation across multiple DIFs, typed QoS errors,
 // app-visible backpressure, the bounded receive queue, and the full
 // deallocation lifecycle (clean close, idempotence, write-after-close,
-// exactly-once remote on_closed, safe port-id recycling).
+// exactly-once remote on_closed, safe port-id recycling), and a CEP
+// table sized by the flows open at once, not by the flows ever opened.
 #include "node/network.hpp"
 
 #include <string>
@@ -378,6 +379,81 @@ static void deallocate_while_allocating_cancels() {
   CHECK(closed == 1);
 }
 
+// The CEP demultiplex table holds live flows only. 65,538 flows opened
+// and closed three at a time through one IPCP pair leave both ends'
+// tables at the size the first batch warmed them to. That many wraps
+// the 16-bit CEP-id counter, and four flows held open throughout still
+// resolve by CEP at both ends: data from each end reaches the other.
+static void cep_table_tracks_live_flows() {
+  Network net(80);
+  net.add_link("a", "b");
+  CHECK(net.build_link_dif(spec("d", {"a", "b"})).ok());
+  std::vector<flow::Flow> served;  // the server ends of the held flows
+  CHECK(net.node("b")
+            .register_app(naming::AppName("srv"), naming::DifName{"d"},
+                          [&served](flow::Flow f) {
+                            if (served.size() < 4) served.push_back(f);
+                          })
+            .ok());
+  net.run_for(SimTime::from_ms(100));
+  auto open = [&net] {
+    return net.node("a").allocate_flow(naming::AppName("cli"),
+                                       naming::AppName("srv"),
+                                       flow::QosSpec::reliable_default());
+  };
+  std::vector<flow::Flow> held;
+  for (int i = 0; i < 4; ++i) held.push_back(settle_alloc(net, open()));
+  auto& fa_a = net.node("a").ipcp(naming::DifName{"d"})->fa();
+  auto& fa_b = net.node("b").ipcp(naming::DifName{"d"})->fa();
+
+  std::size_t warm_a = 0, warm_b = 0;
+  int opened = 0, not_open = 0, not_closed = 0;
+  for (int batch = 0; batch < 21846; ++batch) {
+    flow::Flow f[3] = {open(), open(), open()};
+    net.run_until([&f] {
+      return !f[0].is_allocating() && !f[1].is_allocating() && !f[2].is_allocating();
+    }, SimTime::from_sec(10));
+    for (flow::Flow& x : f) {
+      if (x.is_open()) ++opened;
+      else ++not_open;
+    }
+    if (batch == 0) {
+      warm_a = fa_a.cep_slots();
+      warm_b = fa_b.cep_slots();
+    }
+    for (flow::Flow& x : f) x.deallocate();
+    net.run_until([&f] {
+      return f[0].state() == flow::FlowState::closed &&
+             f[1].state() == flow::FlowState::closed &&
+             f[2].state() == flow::FlowState::closed;
+    }, SimTime::from_sec(10));
+    for (flow::Flow& x : f)
+      if (x.state() != flow::FlowState::closed) ++not_closed;
+  }
+  CHECK(opened == 65538);
+  CHECK(not_open == 0);
+  CHECK(not_closed == 0);
+  CHECK(warm_a >= 8 && warm_a <= 16);
+  CHECK(fa_a.cep_slots() == warm_a);
+  CHECK(fa_b.cep_slots() == warm_b);
+
+  CHECK(served.size() == 4);
+  int at_a = 0, at_b = 0;
+  for (flow::Flow& h : held) {
+    CHECK(h.is_open());
+    h.on_readable([&at_a](flow::Flow& fl) { while (fl.read()) ++at_a; });
+    CHECK(h.write(BytesView{to_bytes("to b")}).ok());
+  }
+  for (flow::Flow& h : served) {
+    CHECK(h.is_open());
+    h.on_readable([&at_b](flow::Flow& fl) { while (fl.read()) ++at_b; });
+    CHECK(h.write(BytesView{to_bytes("to a")}).ok());
+  }
+  net.run_for(SimTime::from_ms(100));
+  CHECK(at_a == 4);
+  CHECK(at_b == 4);
+}
+
 int main() {
   name_only_allocation_picks_reachable_dif();
   no_such_cube_is_typed_and_counted();
@@ -388,5 +464,6 @@ int main() {
   accept_handler_can_write_immediately();
   write_to_unknown_port_errors();
   deallocate_while_allocating_cancels();
+  cep_table_tracks_live_flows();
   return TEST_MAIN_RESULT();
 }

@@ -1,11 +1,29 @@
 // test_scheduler — event ordering, tie-breaking determinism, run_until
-// semantics, SimTime arithmetic, and link rate/loss behavior.
+// semantics, SimTime arithmetic, and link rate/loss behavior, and the
+// link FIFOs' memory: none until a frame is sent, and a burst's ring
+// given back once it drains.
 #include "sim/link.hpp"
 #include "sim/scheduler.hpp"
 
+#include <cstdlib>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "test_util.hpp"
+
+// Heap bytes requested by this process, for the link-construction check.
+static std::size_t g_alloc_bytes = 0;
+
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  g_alloc_bytes += n;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace rina;
 
@@ -166,6 +184,75 @@ static void gilbert_elliott_loses() {
   CHECK(link.counter("ge_lost") == 500 - static_cast<unsigned>(rx));
 }
 
+static void lossless_link_constructs_without_allocating() {
+  sim::Scheduler s;
+  sim::LinkConfig cfg;
+  const std::size_t before = g_alloc_bytes;
+  {
+    sim::Link link(s, cfg, 1, "a", "b");
+    CHECK(g_alloc_bytes == before);
+    CHECK(link.fifo_bytes() == 0);
+  }
+  CHECK(g_alloc_bytes == before);
+}
+
+// A burst of 25 frames, 12x the FIFOs' first ring, sent after both
+// rings have wrapped: every frame arrives in send order at the time
+// rate and delay give it, and each equal-time event posted beside it
+// fires before or after it by the order of post and send, as if every
+// event had been scheduled at the send. Drained, the grown rings are
+// given back; one more frame takes a small ring again.
+static void link_fifo_burst_wraps_and_drains() {
+  sim::Scheduler s;
+  sim::LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1 byte/us: a 100-byte frame takes 100 us
+  cfg.delay = SimTime::from_us(100);
+  sim::Link link(s, cfg, 1, "a", "b");
+  std::vector<std::pair<std::int64_t, int>> log;  // (us, frame k or -post)
+  link.b().set_receiver([&](Packet&& p) {
+    log.emplace_back(s.now().ns / 1000, static_cast<int>(p.view()[0]));
+  });
+  auto frame = [](int k) { return Packet{Bytes(100, static_cast<std::uint8_t>(k))}; };
+  auto post = [&](std::int64_t us, int id) {
+    s.post_at(SimTime::from_us(static_cast<double>(us)),
+              [&log, &s, id] { log.emplace_back(s.now().ns / 1000, -id); });
+  };
+
+  // Frame k finishes serializing at (k+1)*100 us and lands 100 us later.
+  post(200, 1);  // before frame 0's send: fires before frame 0 lands
+  for (int k = 0; k < 3; ++k) CHECK(link.a().send(frame(k)));
+  post(300, 2);  // after frame 1's send: fires after frame 1 lands
+  const std::size_t small = link.fifo_bytes();
+  CHECK(small > 0);
+
+  // Two frames serialized and one delivered: both rings' heads moved, so
+  // the next two sends wrap them, and the rest grow them from there.
+  s.run_until(SimTime::from_us(250));
+  post(600, 3);  // before frame 4's send
+  constexpr int kFrames = 25;
+  for (int k = 3; k < kFrames; ++k) CHECK(link.a().send(frame(k)));
+  post(1000, 4);  // after frame 8's send
+  CHECK(link.fifo_bytes() >= 8 * small);
+
+  s.run();
+  std::vector<std::pair<std::int64_t, int>> want;
+  for (int k = 0; k < kFrames; ++k) {
+    const std::int64_t at = (k + 2) * 100;
+    if (at == 200 || at == 600) want.emplace_back(at, at == 200 ? -1 : -3);
+    want.emplace_back(at, k);
+    if (at == 300 || at == 1000) want.emplace_back(at, at == 300 ? -2 : -4);
+  }
+  CHECK(log == want);
+  CHECK(link.counter("rx_frames") == kFrames);
+  CHECK(link.fifo_bytes() == 0);
+
+  CHECK(link.a().send(frame(kFrames)));
+  s.run();
+  CHECK(link.fifo_bytes() > 0);
+  CHECK(link.fifo_bytes() <= small);
+  CHECK(log.back().second == kFrames);
+}
+
 int main() {
   simtime_math();
   event_order();
@@ -177,5 +264,7 @@ int main() {
   link_queue_backpressure();
   link_tie_break_send_order();
   gilbert_elliott_loses();
+  lossless_link_constructs_without_allocating();
+  link_fifo_burst_wraps_and_drains();
   return TEST_MAIN_RESULT();
 }

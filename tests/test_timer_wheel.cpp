@@ -5,7 +5,11 @@
 // cascade, and periodic cadence. The node store is paged: destroying
 // handles on every residency allocates nothing, and a periodic whose
 // callback appends pages keeps its cadence, the reference order and
-// its self-cancel.
+// its self-cancel. Closures of up to 16 bytes live inside the node and
+// schedule without allocating once the pool is warm; a boxed closure
+// and a shared_ptr-capturing one each run and are destroyed exactly
+// once on every path: fired, cancelled, rearmed through the due and
+// overflow lists, cancelled mid-callback, torn down with the scheduler.
 //
 // Residency note: sub-cases that pin an event's location (wheel slot,
 // due heap, overflow list) each use a fresh Scheduler — a draining
@@ -14,9 +18,11 @@
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <random>
 #include <vector>
@@ -34,6 +40,20 @@ __attribute__((noinline)) void* operator new(std::size_t n) {
 }
 __attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+// The node pages are 64-byte aligned, so they come through here.
+__attribute__((noinline)) void* operator new(std::size_t n, std::align_val_t a) {
+  ++g_allocs;
+  auto al = static_cast<std::size_t>(a);
+  if (void* p = std::aligned_alloc(al, (n + al - 1) / al * al)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t,
+                                               std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -556,6 +576,177 @@ void pool_grows_inside_callbacks() {
   CHECK(sp.order.size() > static_cast<std::size_t>(kFirings * kPerFiring / 2));
 }
 
+// A closure of up to 16 bytes is stored in the node: once the pool has
+// its pages and the due heap its capacity, scheduling, firing,
+// rearming and cancelling one allocates nothing, one-shot or periodic.
+void small_closures_never_allocate() {
+  sim::Scheduler s;
+  std::int64_t sum = 0;
+  auto shot = [p = &sum, k = std::int64_t{1}] { *p += k; };
+  static_assert(sizeof(shot) == 16);
+  std::vector<sim::Timer> live;
+  live.reserve(500);
+  auto round = [&] {
+    for (int i = 0; i < 500; ++i) {
+      live.push_back(s.schedule_after(SimTime::from_us(1 + i % 300), shot));
+      if (i % 5 == 0) CHECK(live.back().rearm(SimTime::from_us(7)));
+      if (i % 7 == 0) live.back().cancel();
+      s.post_after(SimTime{i % 900}, shot);  // sub-tick: the due heap
+    }
+    sim::Timer tick = s.periodic(SimTime::from_us(50), shot);
+    s.run_until(s.now() + SimTime::from_ms(1));
+    CHECK(tick.armed());
+    tick.cancel();
+    s.run();
+    live.clear();
+  };
+  round();  // warm: four pages and the due heap's capacity
+  const std::int64_t warm_sum = sum;
+  const std::size_t before = g_allocs;
+  for (int r = 0; r < 3; ++r) round();
+  CHECK(g_allocs == before);
+  CHECK(sum == 4 * warm_sum);
+  CHECK(s.pending() == 0);
+}
+
+// Closure lifetime. Tracked counts the destruction of the instance that
+// owns the record (a moved-from one counts nothing); a run may cancel
+// the running timer's own handle.
+struct Life {
+  int runs = 0;
+  int destroyed = 0;
+  sim::Timer* self = nullptr;  // cancelled by run number cancel_at
+  int cancel_at = 0;
+  void run() {
+    ++runs;
+    if (self != nullptr && runs == cancel_at) {
+      self->cancel();
+      CHECK(destroyed == 0);  // the running closure is still alive
+    }
+  }
+};
+struct Tracked {
+  Life* life;
+  explicit Tracked(Life* l) : life(l) {}
+  Tracked(Tracked&& o) noexcept : life(o.life) { o.life = nullptr; }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (life != nullptr) ++life->destroyed;
+  }
+};
+
+/// A 40-byte closure: boxed on the heap.
+auto boxed_closure(Life* l) {
+  return [t = Tracked{l}, pad = std::array<std::uint64_t, 4>{}] {
+    t.life->run();
+    (void)pad;
+  };
+}
+/// A 16-byte closure holding a shared_ptr: stored in the node and moved
+/// by its own move constructor.
+auto shared_closure(Life* l) {
+  return [t = std::make_shared<Tracked>(l)] { t->life->run(); };
+}
+
+template <typename Make>
+void closure_lifetimes(Make make, bool boxed) {
+  const SimTime kFar = SimTime::from_sec(3600 * 5);  // overflow list
+  const SimTime kSubTick{300};                        // due heap
+  // Scheduling costs one allocation (the box) when boxed, else none.
+  {
+    sim::Scheduler s;
+    s.post_after(SimTime::from_us(1), [] {});
+    s.run();  // first page
+    Life l;
+    auto c = make(&l);
+    const std::size_t before = g_allocs;
+    sim::Timer t = s.schedule_after(SimTime::from_ms(1), std::move(c));
+    CHECK(g_allocs == before + (boxed ? 1 : 0));
+    t.cancel();
+    CHECK(l.destroyed == 1);
+  }
+  // Fired, as a one-shot and as a fire-and-forget post, from each
+  // residency.
+  for (SimTime at : {kSubTick, SimTime::from_ms(1), kFar}) {
+    sim::Scheduler s;
+    Life l;
+    sim::Timer t = s.schedule_after(at, make(&l));
+    s.post_after(at, make(&l));
+    s.run();
+    CHECK(l.runs == 2);
+    CHECK(l.destroyed == 2);
+  }
+  // Cancelled on each residency: wheel, due heap, overflow list.
+  for (SimTime at : {kSubTick, SimTime::from_ms(1), kFar}) {
+    sim::Scheduler s;
+    Life l;
+    sim::Timer t = s.schedule_after(at, make(&l));
+    t.cancel();
+    CHECK(l.destroyed == 1);
+    s.run();
+    CHECK(l.runs == 0);
+    CHECK(l.destroyed == 1);
+  }
+  // Rearmed from the due heap and from the overflow list: the closure
+  // moves to a fresh node and the old one is left a shell.
+  for (SimTime at : {kSubTick, kFar}) {
+    sim::Scheduler s;
+    Life l;
+    sim::Timer t = s.schedule_after(at, make(&l));
+    CHECK(t.rearm(SimTime::from_ms(2)));
+    CHECK(t.rearm(SimTime::from_ms(3)));  // now on the wheel
+    CHECK(l.destroyed == 0);
+    s.run();
+    CHECK(l.runs == 1);
+    CHECK(l.destroyed == 1);
+    CHECK(s.now() == SimTime::from_ms(3));
+  }
+  // Cancelled mid-callback: a periodic cancels itself on its third
+  // firing and its closure dies when the callback returns; a one-shot
+  // cancels its own handle, already stale, from inside.
+  {
+    sim::Scheduler s;
+    Life pl, ol;
+    sim::Timer p, o;
+    pl.self = &p;
+    pl.cancel_at = 3;
+    ol.self = &o;
+    ol.cancel_at = 1;
+    p = s.periodic(SimTime::from_ms(1), make(&pl));
+    o = s.schedule_after(SimTime::from_ms(2), make(&ol));
+    s.run();
+    CHECK(pl.runs == 3);
+    CHECK(pl.destroyed == 1);
+    CHECK(ol.runs == 1);
+    CHECK(ol.destroyed == 1);
+    CHECK(s.pending() == 0);
+  }
+  // Torn down with the scheduler while pending on every residency.
+  {
+    Life l;
+    {
+      sim::Scheduler s;
+      s.post_after(kSubTick, make(&l));
+      s.post_after(SimTime::from_ms(1), make(&l));
+      s.post_after(SimTime::from_ms(300), make(&l));  // level 1
+      s.post_after(kFar, make(&l));
+      s.run_until(SimTime{100});
+      CHECK(s.pending() == 4);
+    }
+    CHECK(l.runs == 0);
+    CHECK(l.destroyed == 4);
+  }
+}
+
+void boxed_and_shared_closures_live_once() {
+  static_assert(sizeof(boxed_closure(nullptr)) == 40);
+  static_assert(sizeof(shared_closure(nullptr)) == 16);
+  closure_lifetimes(boxed_closure, /*boxed=*/true);
+  closure_lifetimes(shared_closure, /*boxed=*/false);
+}
+
 }  // namespace
 
 int main() {
@@ -570,5 +761,7 @@ int main() {
   bounded_runs_fire_everything_due();
   cancel_never_allocates();
   pool_grows_inside_callbacks();
+  small_closures_never_allocate();
+  boxed_and_shared_closures_live_once();
   return TEST_MAIN_RESULT();
 }
