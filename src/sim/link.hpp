@@ -28,15 +28,16 @@
 // Sharding: a direction whose endpoints live on different shards is
 // wired to a sim::Boundary (set_cross). Serialization still runs on
 // the sender's shard (the tx FIFO is sender state); the frame itself
-// crosses in the boundary's SPSC ring stamped with its delivery time
-// and reserved seq, and the receiving shard posts the delivery when it
-// drains the ring at its next window start. The conservative window
-// protocol guarantees the delivery time is still in that shard's
-// future. Cross directions get a private GE rng (the shared per-link
-// rng would be written from two shards); intra-shard links keep the
-// shared rng so single-shard runs reproduce pre-sharding outputs. Only
-// a link with GE loss holds generators (2.5 KB each); a lossless link
-// draws nothing.
+// crosses in the boundary's SPSC ring stamped with its delivery time.
+// The receiving shard drains the ring at its next window start, queues
+// each frame in the direction's in-flight FIFO with a seq reserved
+// then, and arms the rx timer exactly as a send does on one shard. The
+// conservative window protocol guarantees the delivery time is still
+// in that shard's future. Cross directions get a private GE rng (the
+// shared per-link rng would be written from two shards); intra-shard
+// links keep the shared rng so single-shard runs reproduce
+// pre-sharding outputs. Only a link with GE loss holds generators
+// (2.5 KB each); a lossless link draws nothing.
 //
 // Counters are per-direction plain fields — tx-side fields written
 // only by the sender's shard, rx_frames only by the receiver's —
@@ -301,7 +302,7 @@ class Link {
     SimTime busy_until{};
     std::size_t queued = 0;
     Fifo<SerDone> ser_done;   // serialization completions, monotone
-    Fifo<InFlight> inflight;  // deliveries, monotone (intra-shard)
+    Fifo<InFlight> inflight;  // deliveries, monotone (receiver's shard)
     Timer tx_timer;           // armed at ser_done.front()
     Timer rx_timer;           // armed at inflight.front().at
     // Mirrors of {tx,rx}_timer.armed(), maintained at the only two
@@ -315,7 +316,8 @@ class Link {
     std::optional<GilbertElliottLoss> ge;
     Boundary* xout = nullptr;                  // cross-shard egress, or null
     std::unique_ptr<std::mt19937_64> own_rng;  // GE rng for cross directions
-    // Sender-shard counters (everything below but rx_frames):
+    // Sender-shard counters (everything below but rx_frames); the
+    // receiver's shard owns inflight, rx_timer and rx_armed.
     std::uint64_t tx_attempts = 0;
     std::uint64_t tx_carrier_lost = 0;
     std::uint64_t queue_drops = 0;
@@ -388,25 +390,36 @@ class Link {
     } else {
       d.inflight.push_back(
           InFlight{deliver_at, rx_seq, epoch_, lost, std::move(frame)});
-      if (!d.rx_armed) {
-        d.rx_armed = true;
-        d.rx_timer = rx_sched(side).schedule_at_seq(
-            d.inflight.front().at, d.inflight.front().seq,
-            [this, side] { rx_fire(side); });
-      }
+      arm_rx(side);
     }
-    if (!d.tx_armed) {
-      d.tx_armed = true;
-      d.tx_timer = sch.schedule_at_seq(d.ser_done.front().at,
-                                       d.ser_done.front().seq,
-                                       [this, side] { tx_fire(side); });
-    }
+    arm_tx(side);
     return true;
+  }
+
+  /// Arm direction `side`'s serialization (tx) or delivery (rx) timer at
+  /// its FIFO's head, with the seq the head reserved, unless the timer
+  /// is armed already or the FIFO is empty. Every arming goes through
+  /// one of these two.
+  void arm_tx(int side) {
+    Direction& d = dir_[side];
+    if (d.tx_armed || d.ser_done.empty()) return;
+    d.tx_armed = true;
+    d.tx_timer = tx_sched(side).schedule_at_seq(
+        d.ser_done.front().at, d.ser_done.front().seq,
+        [this, side] { tx_fire(side); });
+  }
+  void arm_rx(int side) {
+    Direction& d = dir_[side];
+    if (d.rx_armed || d.inflight.empty()) return;
+    d.rx_armed = true;
+    d.rx_timer = rx_sched(side).schedule_at_seq(
+        d.inflight.front().at, d.inflight.front().seq,
+        [this, side] { rx_fire(side); });
   }
 
   /// Serialization completed for the head frame: free its FIFO slot and
   /// re-arm at the next head with its reserved seq. on_ready may send
-  /// reentrantly; the re-arm check below accounts for it.
+  /// reentrantly and arm the timer itself; arm_tx then leaves it be.
   void tx_fire(int side) {
     Direction& d = dir_[side];
     d.tx_armed = false;  // this firing consumed the armed timer
@@ -414,12 +427,7 @@ class Link {
     bool was_full = d.queued >= cfg_.queue_pkts;
     if (d.queued > 0) --d.queued;
     if (was_full && d.on_ready) d.on_ready();
-    if (!d.ser_done.empty() && !d.tx_armed) {
-      d.tx_armed = true;
-      d.tx_timer = tx_sched(side).schedule_at_seq(
-          d.ser_done.front().at, d.ser_done.front().seq,
-          [this, side] { tx_fire(side); });
-    }
+    arm_tx(side);
   }
 
   /// Propagation completed for the head frame: deliver it unless lost
@@ -429,32 +437,23 @@ class Link {
     d.rx_armed = false;  // this firing consumed the armed timer
     InFlight f = std::move(d.inflight.front());
     d.inflight.pop_front();
-    if (!d.inflight.empty() && !d.rx_armed) {
-      d.rx_armed = true;
-      d.rx_timer = rx_sched(side).schedule_at_seq(
-          d.inflight.front().at, d.inflight.front().seq,
-          [this, side] { rx_fire(side); });
-    }
+    arm_rx(side);
     if (f.lost || !up_ || f.epoch != epoch_) return;
     ++d.rx_frames;
     if (d.deliver) d.deliver(std::move(f.frame));
   }
 
   /// Boundary sink: runs on the RECEIVING shard when it drains the ring
-  /// at a window start. The conservative protocol guarantees
-  /// e.at_ns >= that shard's clock; post the delivery there. Ordering
-  /// across boundaries is fixed by the drain's (time, boundary, seq)
-  /// merge sort, so the post_at order — and with it the destination
-  /// seqs — is thread-count-invariant.
+  /// at a window start; the conservative protocol guarantees
+  /// e.at_ns >= that shard's clock. The frame joins the in-flight FIFO
+  /// with a seq reserved now. The drain merges boundaries in (time,
+  /// boundary, seq) order, so these seqs, and with them the firing
+  /// order, do not depend on the thread count.
   void deliver_cross(int side, CrossEntry&& e) {
-    rx_sched(side).post_at(
-        SimTime{e.at_ns},
-        [this, side, epoch = e.epoch, f = std::move(e.frame)]() mutable {
-          Direction& d = dir_[side];
-          if (!up_ || epoch != epoch_) return;
-          ++d.rx_frames;
-          if (d.deliver) d.deliver(std::move(f));
-        });
+    dir_[side].inflight.push_back(InFlight{SimTime{e.at_ns},
+                                           rx_sched(side).reserve_seq(),
+                                           e.epoch, false, std::move(e.frame)});
+    arm_rx(side);
   }
 
   Scheduler& sched_a_;

@@ -1,9 +1,10 @@
 // scheduler.hpp — deterministic discrete-event loop on a hierarchical
 // timing wheel.
 //
-// The event store is a 4-level × 256-slot hashed timing wheel (tick
-// granularity 2^10 ns ≈ 1 µs, total span ≈ 73 minutes) with a sorted
-// overflow list for farther-future events. Events whose tick the wheel
+// The event store is a 7-level × 256-slot hashed timing wheel (tick
+// granularity 2^10 ns ≈ 1 µs). Seven 8-bit levels cover every tick a
+// SimTime can hold (INT64_MAX >> 10 needs 53 bits), so no event needs a
+// second store however far ahead it is. Events whose tick the wheel
 // cursor has reached sit in a small binary heap ("due heap") keyed by
 // their exact (time, insertion seq), so the firing order is *identical*
 // to the classic single-heap scheduler: earliest time first, ties break
@@ -29,11 +30,20 @@
 // keeps closures of up to 16 bytes (a `this` plus an index, or one
 // shared_ptr) inline and boxes larger ones on the heap.
 //
+// A node is retired by its generation. Freeing or rearming one bumps
+// `gen`, which makes every handle and due-heap entry that names the old
+// generation stale: a cancelled node goes back to the free list at
+// once wherever it sits, a rearmed one is re-placed in its own node,
+// and the due heap pops stale entries as they surface. The one node
+// that waits to be freed is a periodic cancelled by its own callback,
+// which fire_next frees when the callback returns.
+//
 // Timer handle contract (see README for the prose version):
 //   - `Timer t = sched.schedule_after(d, fn)` — owns the pending event.
 //     Destroying or assigning over `t` cancels it; `t.cancel()` is O(1)
 //     and idempotent; `t.rearm(d)` / `t.rearm_at(tp)` retarget a
-//     still-armed timer reusing its stored closure (no allocation).
+//     still-armed timer in its own node, reusing its stored closure (no
+//     allocation).
 //   - After the event fires, the handle is stale: armed() is false and
 //     cancel()/rearm() are no-ops. Re-arming from inside the callback is
 //     done by assigning the member handle a fresh schedule_* result (the
@@ -52,7 +62,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -244,7 +253,7 @@ class Scheduler {
   /// Draw a tie-break sequence number from the same stream schedule_*
   /// consumes, without creating an event. Paired with schedule_at_seq:
   /// a caller that decides the order of several future events *now* but
-  /// arms their timers lazily (one armed timer over a deque is the Link
+  /// arms their timers lazily (one armed timer over a FIFO is the Link
   /// pattern) reserves each event's seq at decision time, so equal-time
   /// firings run in decision order — exactly as if every event had been
   /// scheduled eagerly at that moment.
@@ -313,9 +322,9 @@ class Scheduler {
   /// Pop and run the next event. False if the queue is empty.
   bool step() { return fire_next(SimTime{kMaxNs}); }
 
-  /// Count of armed events (all levels + overflow + due).
+  /// Count of armed events (wheel + due heap).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return wheel_live_ + overflow_live_ + due_live_;
+    return wheel_live_ + due_live_;
   }
 
   /// Total events fired since construction — the dirty tick callers can
@@ -327,17 +336,20 @@ class Scheduler {
 
   static constexpr int kGranularityShift = 10;  // 1 tick = 1024 ns
   static constexpr int kLevelShift = 8;         // 256 slots per level
-  static constexpr int kLevels = 4;
+  static constexpr int kLevels = 7;             // 56 bits: any SimTime's tick
   static constexpr std::uint32_t kSlots = 1u << kLevelShift;
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::int64_t kMaxNs = INT64_MAX;
+  static_assert(kLevels * kLevelShift >= 63 - kGranularityShift,
+                "the wheel spans every non-negative SimTime");
   // 256 nodes (16 KiB) a page: larger pages raise the peak RSS of runs
   // whose whole pool fits in one.
   static constexpr int kPageShift = 8;
   static constexpr std::uint32_t kPageNodes = 1u << kPageShift;
 
-  enum class State : std::uint8_t { free, armed, dead };
-  enum class Loc : std::uint8_t { none, wheel, overflow, due, executing };
+  // Where an armed node is. A free node's loc is meaningless: its
+  // generation has moved past every handle and due entry.
+  enum class Loc : std::uint8_t { wheel, due, executing };
 
   struct alignas(64) Node {
     SimTime time{};
@@ -349,8 +361,7 @@ class Scheduler {
     std::uint32_t gen = 0;
     std::uint8_t level = 0;
     std::uint8_t slot = 0;
-    State state = State::free;
-    Loc loc = Loc::none;
+    Loc loc = Loc::wheel;
     Fn fn;
   };
   static_assert(sizeof(Node) == 64, "a pending timer is one cache line");
@@ -393,27 +404,22 @@ class Scheduler {
         pool_.push_back(std::make_unique<Node[]>(kPageNodes));
     }
     Node& n = node(i);
-    n.next = kNil;
     n.time = t;
     n.seq = seq_++;
     n.interval_ns = interval;
-    n.state = State::armed;
-    n.loc = Loc::none;
     n.fn = std::move(fn);
     return i;
   }
 
   void free_node(std::uint32_t i) {
     Node& n = node(i);
+    ++n.gen;  // stale first: the closure's destructor may touch its handle
     n.fn.reset();
-    n.state = State::free;
-    n.loc = Loc::none;
-    ++n.gen;  // invalidate any outstanding handle / due entry
     n.next = free_head_;
     free_head_ = i;
   }
 
-  /// File an armed node into due heap, wheel, or overflow, by its tick's
+  /// File an armed node into the due heap or the wheel, by its tick's
   /// relation to the wheel cursor. The level is the highest 8-bit digit
   /// in which the tick differs from the cursor, so a slot only ever
   /// holds ticks of one wheel revolution and harvesting a level-0 slot
@@ -428,22 +434,7 @@ class Scheduler {
       std::push_heap(due_.begin(), due_.end(), Later{});
       return;
     }
-    std::uint64_t diff = tk ^ tick_;
-    int level;
-    if ((diff >> kLevelShift) == 0)
-      level = 0;
-    else if ((diff >> (2 * kLevelShift)) == 0)
-      level = 1;
-    else if ((diff >> (3 * kLevelShift)) == 0)
-      level = 2;
-    else if ((diff >> (4 * kLevelShift)) == 0)
-      level = 3;
-    else {
-      n.loc = Loc::overflow;
-      ++overflow_live_;
-      overflow_.emplace(n.time.ns, i);
-      return;
-    }
+    const int level = (63 - __builtin_clzll(tk ^ tick_)) / kLevelShift;
     auto slot =
         static_cast<std::uint32_t>((tk >> (level * kLevelShift)) & (kSlots - 1));
     n.loc = Loc::wheel;
@@ -467,6 +458,18 @@ class Scheduler {
     if (slots_[n.level][n.slot] == kNil)
       bitmap_[n.level][n.slot >> 6] &= ~(1ull << (n.slot & 63));
     n.prev = n.next = kNil;
+  }
+
+  /// Take an armed, not-executing node out of the live counts, and a
+  /// wheel node out of its slot chain. A due node's heap entry stays
+  /// behind; the caller's generation bump makes it stale.
+  void detach(std::uint32_t i) {
+    if (node(i).loc == Loc::wheel) {
+      unlink(i);
+      --wheel_live_;
+    } else {
+      --due_live_;
+    }
   }
 
   /// First occupied slot index >= from at `level`, or -1.
@@ -526,63 +529,23 @@ class Scheduler {
     }
   }
 
-  /// Pull overflow entries whose tick entered the wheel's current span.
-  void pull_overflow() {
-    while (!overflow_.empty()) {
-      auto it = overflow_.begin();
-      std::uint32_t i = it->second;
-      Node& n = node(i);
-      if (n.state == State::dead) {  // cancelled while parked here
-        overflow_.erase(it);
-        free_node(i);
-        continue;
-      }
-      std::uint64_t tk = tick_of(n.time);
-      if (tk > tick_ && ((tk ^ tick_) >> (kLevels * kLevelShift)) != 0) return;
-      overflow_.erase(it);
-      --overflow_live_;
-      place(i);
-    }
-  }
-
-  /// Drop cancelled shells off the top of the due heap.
+  /// Pop the entries of freed or rearmed nodes (whose generation moved
+  /// on) off the top of the due heap.
   void prune_due() {
-    while (!due_.empty()) {
-      // Copy, not reference: pop_heap moves another entry into front()
-      // and a reference would silently retarget mid-iteration.
-      DueEnt e = due_.front();
-      Node& n = node(e.idx);
-      if (n.gen == e.gen && n.state == State::armed && n.loc == Loc::due) return;
+    while (!due_.empty() && node(due_.front().idx).gen != due_.front().gen) {
       std::pop_heap(due_.begin(), due_.end(), Later{});
       due_.pop_back();
-      if (n.gen == e.gen && n.state == State::dead) free_node(e.idx);
     }
   }
 
   /// Advance the wheel cursor (never past limit_tk) until the due heap
   /// holds a live event, skipping empty regions via the bitmaps.
-  /// Returns false when nothing with tick <= limit_tk exists.
+  /// Returns false when nothing with tick <= limit_tk exists. Called
+  /// with a live wheel node, and every pass keeps one: a harvest or a
+  /// cascade into the due heap returns, and any other cascade only
+  /// moves nodes down the wheel.
   bool refill_due(std::uint64_t limit_tk) {
     for (;;) {
-      pull_overflow();
-      if (wheel_live_ == 0) {
-        // Only (possibly) far-future overflow left: jump the cursor.
-        if (overflow_live_ == 0) {
-          if (tick_ < limit_tk) tick_ = limit_tk;
-          return false;
-        }
-        prune_overflow_head();
-        if (overflow_live_ == 0) continue;
-        std::uint64_t otk = tick_of(node(overflow_.begin()->second).time);
-        if (otk > limit_tk) {
-          if (tick_ < limit_tk) tick_ = limit_tk;
-          return false;
-        }
-        tick_ = otk;
-        pull_overflow();
-        if (due_live_ > 0) return true;
-        continue;
-      }
       // The cursor may already sit at/past this call's limit (a previous
       // run advanced it further): everything in the wheel has tick >
       // tick_ >= limit_tk, so nothing can be due and the cursor must not
@@ -598,8 +561,7 @@ class Scheduler {
         }
         tick_ = cand;
         harvest(static_cast<std::uint32_t>(s0));
-        if (due_live_ > 0) return true;
-        continue;
+        return true;
       }
       // Level-0 window exhausted: find the next occupied higher-level
       // slot, move the cursor to the *start* of its span, cascade it,
@@ -630,23 +592,11 @@ class Scheduler {
         break;
       }
       if (!advanced) {
-        // wheel_live_ > 0 yet nothing ahead at any level can only mean
-        // the live nodes sit beyond this wheel revolution's bookkeeping
-        // — unreachable by construction; stop at the limit defensively.
-        if (tick_ < limit_tk) tick_ = limit_tk;
+        // A live wheel node yet nothing ahead at any level: unreachable
+        // by construction; stop at the limit defensively.
+        tick_ = limit_tk;
         return false;
       }
-    }
-  }
-
-  void prune_overflow_head() {
-    while (!overflow_.empty()) {
-      auto it = overflow_.begin();
-      Node& n = node(it->second);
-      if (n.state != State::dead) return;
-      std::uint32_t i = it->second;
-      overflow_.erase(it);
-      free_node(i);
     }
   }
 
@@ -655,9 +605,8 @@ class Scheduler {
     for (;;) {
       prune_due();
       if (!due_.empty()) return due_.front().ns <= limit_ns;
-      if (wheel_live_ == 0 && overflow_live_ == 0) return false;
-      if (!refill_due(static_cast<std::uint64_t>(limit_ns) >>
-                      kGranularityShift))
+      if (wheel_live_ == 0 ||
+          !refill_due(static_cast<std::uint64_t>(limit_ns) >> kGranularityShift))
         return false;
     }
   }
@@ -675,11 +624,11 @@ class Scheduler {
     Node& n = node(e.idx);
     if (n.interval_ns > 0) {
       // Periodic: the closure runs in place. Its node is neither freed
-      // nor reused until the callback returns (a cancel only marks it
-      // dead), and pages never move.
+      // nor reused until the callback returns (a cancel only retires its
+      // generation), and pages never move.
       n.loc = Loc::executing;
       n.fn();
-      if (n.state == State::armed) {  // not cancelled mid-callback
+      if (n.gen == e.gen) {  // not cancelled mid-callback
         n.time = now_ + SimTime{n.interval_ns};
         n.seq = seq_++;
         place(e.idx);
@@ -697,76 +646,35 @@ class Scheduler {
   // ---- Timer support -------------------------------------------------
 
   bool node_armed(std::uint32_t i, std::uint32_t gen) const {
-    return i < pool_used_ && node(i).gen == gen &&
-           node(i).state == State::armed;
+    return node(i).gen == gen;
   }
 
   void cancel_node(std::uint32_t i, std::uint32_t gen) {
     if (tearing_down_ || !node_armed(i, gen)) return;
-    Node& n = node(i);
-    switch (n.loc) {
-      case Loc::wheel:
-        unlink(i);
-        --wheel_live_;
-        free_node(i);  // O(1), no shell left behind
-        break;
-      case Loc::due:  // heap entry still points here: leave a dead shell
-        n.state = State::dead;
-        n.fn.reset();
-        --due_live_;
-        break;
-      case Loc::overflow:  // multimap entry still points here: shell
-        n.state = State::dead;
-        n.fn.reset();
-        --overflow_live_;
-        break;
-      case Loc::executing:
-        // A periodic cancelling itself mid-callback: its closure is still
-        // running, so only mark the node; fire_next frees it on return.
-        n.state = State::dead;
-        break;
-      case Loc::none:
-        break;
+    if (node(i).loc == Loc::executing) {
+      // A periodic cancelling itself mid-callback: its closure is still
+      // running, so only retire the generation; fire_next frees the
+      // node on return.
+      ++node(i).gen;
+      return;
     }
+    detach(i);
+    free_node(i);
   }
 
-  /// Retarget a still-armed, not-currently-firing timer, reusing its
-  /// stored closure. Wheel residents re-place in O(1) keeping the same
-  /// node; due/overflow residents (whose container entries can't be
-  /// unlinked O(1)) move the closure to a fresh node and leave a dead
-  /// shell behind — the handle is updated in place to the new identity.
-  bool rearm_handle(std::uint32_t* ip, std::uint32_t* genp, SimTime t) {
-    if (tearing_down_ || !node_armed(*ip, *genp)) return false;
-    Node& n = node(*ip);
-    switch (n.loc) {
-      case Loc::executing:
-        return false;
-      case Loc::wheel:
-        unlink(*ip);
-        --wheel_live_;
-        n.time = clamp(t);
-        n.seq = seq_++;
-        place(*ip);
-        return true;
-      case Loc::due:
-      case Loc::overflow: {
-        Fn f = std::move(n.fn);
-        std::int64_t iv = n.interval_ns;
-        n.state = State::dead;
-        if (n.loc == Loc::due)
-          --due_live_;
-        else
-          --overflow_live_;
-        std::uint32_t ni = new_node(clamp(t), iv, std::move(f));
-        place(ni);
-        *ip = ni;
-        *genp = node(ni).gen;
-        return true;
-      }
-      case Loc::none:
-        return false;
-    }
-    return false;
+  /// Retarget a still-armed, not-currently-firing timer in its own node,
+  /// reusing its stored closure, under a new generation that the handle
+  /// follows.
+  bool rearm_node(std::uint32_t i, std::uint32_t* genp, SimTime t) {
+    if (tearing_down_ || !node_armed(i, *genp)) return false;
+    Node& n = node(i);
+    if (n.loc == Loc::executing) return false;
+    detach(i);
+    n.time = clamp(t);
+    n.seq = seq_++;
+    *genp = ++n.gen;
+    place(i);
+    return true;
   }
 
   bool tearing_down_ = false;
@@ -775,11 +683,9 @@ class Scheduler {
   std::uint32_t free_head_ = kNil;  // LIFO free list through Node::next
   std::uint32_t slots_[kLevels][kSlots];
   std::uint64_t bitmap_[kLevels][kSlots / 64] = {};
-  std::multimap<std::int64_t, std::uint32_t> overflow_;  // sorted, FIFO ties
   std::vector<DueEnt> due_;
   std::uint64_t tick_ = 0;  // wheel cursor: slots <= tick_ are harvested
   std::size_t wheel_live_ = 0;
-  std::size_t overflow_live_ = 0;
   std::size_t due_live_ = 0;
   SimTime now_{};
   std::uint64_t seq_ = 0;
@@ -799,12 +705,12 @@ inline bool Timer::armed() const {
 
 inline bool Timer::rearm(SimTime delay) {
   if (sched_ == nullptr) return false;
-  return sched_->rearm_handle(&node_, &gen_, sched_->now() + delay);
+  return sched_->rearm_node(node_, &gen_, sched_->now() + delay);
 }
 
 inline bool Timer::rearm_at(SimTime t) {
   if (sched_ == nullptr) return false;
-  return sched_->rearm_handle(&node_, &gen_, t);
+  return sched_->rearm_node(node_, &gen_, t);
 }
 
 }  // namespace rina::sim

@@ -1,9 +1,11 @@
 // test_scheduler — event ordering, tie-breaking determinism, run_until
 // semantics, SimTime arithmetic, and link rate/loss behavior, and the
-// link FIFOs' memory: none until a frame is sent, and a burst's ring
-// given back once it drains.
+// link FIFOs' memory: none until a frame is sent, a burst's ring given
+// back once it drains, and no allocation per frame delivered across a
+// shard boundary once warm.
 #include "sim/link.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/shard.hpp"
 
 #include <cstdlib>
 #include <new>
@@ -12,10 +14,13 @@
 
 #include "test_util.hpp"
 
-// Heap bytes requested by this process, for the link-construction check.
+// Heap allocations and bytes requested by this process, for the link
+// checks.
+static std::size_t g_allocs = 0;
 static std::size_t g_alloc_bytes = 0;
 
 __attribute__((noinline)) void* operator new(std::size_t n) {
+  ++g_allocs;
   g_alloc_bytes += n;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
@@ -253,6 +258,34 @@ static void link_fifo_burst_wraps_and_drains() {
   CHECK(log.back().second == kFrames);
 }
 
+// A cross-shard direction queues a drained frame in the receiver's
+// in-flight FIFO, as a send does on one shard: with a 100-byte frame
+// sent every 10 us over a two-shard link, once the rings, the timer
+// pool and the packet arena are warm, a delivered frame allocates
+// nothing.
+static void cross_shard_delivery_never_allocates() {
+  sim::ShardedScheduler ss(2, 1);
+  sim::LinkConfig cfg;
+  cfg.delay = SimTime::from_us(100);
+  sim::Link link(ss.shard(0), ss.shard(1), cfg, 1, "a", "b");
+  ss.note_cross_delay(cfg.delay);
+  link.set_cross(0, &ss.add_boundary(0, 1, 64));
+  link.set_cross(1, &ss.add_boundary(1, 0, 64));
+  std::uint64_t rx = 0;
+  link.ep(1).set_receiver([&rx](Packet&& p) { rx += p.size() == 100 ? 1 : 0; });
+  const Bytes payload(100, 7);
+  sim::Timer sender = ss.shard(0).periodic(SimTime::from_us(10), [&link, &payload] {
+    (void)link.ep(0).send(Packet::with_headroom(0, BytesView{payload}));
+  });
+  ss.run_for(SimTime::from_ms(5));  // warm
+  const std::uint64_t rx0 = rx;
+  const std::size_t before = g_allocs;
+  ss.run_for(SimTime::from_ms(20));
+  CHECK(rx - rx0 == 2000);
+  CHECK(g_allocs == before);
+  CHECK(link.counter("xshard_frames") == link.counter("tx_frames"));
+}
+
 int main() {
   simtime_math();
   event_order();
@@ -266,5 +299,6 @@ int main() {
   gilbert_elliott_loses();
   lossless_link_constructs_without_allocating();
   link_fifo_burst_wraps_and_drains();
+  cross_shard_delivery_never_allocates();
   return TEST_MAIN_RESULT();
 }

@@ -1,20 +1,23 @@
 // test_timer_wheel — the timing-wheel scheduler against a reference
 // single-heap model on randomized programs, plus the Timer handle
 // contract: cancel before/at/after fire, cancel-on-destroy, rearm on
-// every residency path (wheel / due / overflow), far-future overflow
-// cascade, and periodic cadence. The node store is paged: destroying
-// handles on every residency allocates nothing, and a periodic whose
-// callback appends pages keeps its cadence, the reference order and
-// its self-cancel. Closures of up to 16 bytes live inside the node and
-// schedule without allocating once the pool is warm; a boxed closure
-// and a shared_ptr-capturing one each run and are destroyed exactly
-// once on every path: fired, cancelled, rearmed through the due and
-// overflow lists, cancelled mid-callback, torn down with the scheduler.
+// every residency path (wheel levels / due heap), the cascade from
+// level 4 (hours ahead), the top levels up to SimTime{INT64_MAX}, and
+// periodic cadence. The node store is paged: destroying handles on
+// every residency allocates nothing, arming, rearming and cancelling
+// hours-ahead timers allocates nothing, a cancelled or rearmed due-heap
+// node is reused at once, and a periodic whose callback appends pages
+// keeps its cadence, the reference order and its self-cancel. Closures
+// of up to 16 bytes live inside the node and schedule without
+// allocating once the pool is warm; a boxed closure and a
+// shared_ptr-capturing one each run and are destroyed exactly once on
+// every path: fired, cancelled, rearmed out of the due heap and out of
+// level 4, cancelled mid-callback, torn down with the scheduler.
 //
-// Residency note: sub-cases that pin an event's location (wheel slot,
-// due heap, overflow list) each use a fresh Scheduler — a draining
-// run() parks the wheel cursor at the horizon, after which every new
-// event lands straight in the due heap.
+// Residency note: sub-cases that pin an event's location (wheel level,
+// due heap) each use a fresh Scheduler — a bounded run moves the wheel
+// cursor to its bound, after which every event at or before the
+// cursor's tick lands straight in the due heap.
 #include "sim/scheduler.hpp"
 
 #include <algorithm>
@@ -32,6 +35,8 @@
 // Every heap allocation in this process, for the zero-allocation check.
 // Not inlined, so the compiler never pairs a caller's new with free().
 static std::size_t g_allocs = 0;
+// Over-aligned allocations: here, only the scheduler's node pages.
+static std::size_t g_pages = 0;
 
 __attribute__((noinline)) void* operator new(std::size_t n) {
   ++g_allocs;
@@ -45,6 +50,7 @@ __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
 // The node pages are 64-byte aligned, so they come through here.
 __attribute__((noinline)) void* operator new(std::size_t n, std::align_val_t a) {
   ++g_allocs;
+  ++g_pages;
   auto al = static_cast<std::size_t>(a);
   if (void* p = std::aligned_alloc(al, (n + al - 1) / al * al)) return p;
   throw std::bad_alloc();
@@ -112,7 +118,7 @@ struct GenEv {
 };
 
 /// Times drawn to cover every residency: sub-tick (due), level 0
-/// (< 256 ticks ≈ 262 us), levels 1–3, and overflow (> ~73 min).
+/// (< 256 ticks ≈ 262 us), levels 1–3, and level 4 (> ~73 min).
 std::int64_t draw_time(std::mt19937_64& rng) {
   std::uniform_int_distribution<int> bucket(0, 5);
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -122,15 +128,33 @@ std::int64_t draw_time(std::mt19937_64& rng) {
     case 2: return static_cast<std::int64_t>(u(rng) * 6e7);     // level 1
     case 3: return static_cast<std::int64_t>(u(rng) * 1.5e10);  // level 2
     case 4: return static_cast<std::int64_t>(u(rng) * 4e12);    // level 3
-    default: return static_cast<std::int64_t>(5e12 + u(rng) * 1e14);  // overflow
+    default: return static_cast<std::int64_t>(5e12 + u(rng) * 1e14);  // level 4
   }
+}
+
+/// Times drawn to cover the top levels as well: sub-tick (due), a tick
+/// whose highest set bit lies in any of the seven levels (levels 4–6 are
+/// 73 minutes to 292 years ahead), and about one in nine exactly
+/// SimTime{INT64_MAX}.
+std::int64_t draw_any_time(std::mt19937_64& rng) {
+  const int bucket = static_cast<int>(rng() % 8);
+  if (bucket == 0) return static_cast<std::int64_t>(rng() % 1024);
+  if (rng() % 8 == 0) return INT64_MAX;
+  const int lo = 8 * (bucket - 1) + 10;     // ns bit at which the level starts
+  const int hi = std::min(lo + 8, 63);      // ... and ends (exclusive)
+  const std::uint64_t span = (std::uint64_t{1} << hi) - (std::uint64_t{1} << lo);
+  return static_cast<std::int64_t>((std::uint64_t{1} << lo) + rng() % span);
 }
 
 /// Run one randomized program through both schedulers and demand the
 /// identical firing sequence. Rearmed events re-enter the order as if
 /// scheduled at the moment of the rearm (fresh seq), which the
 /// reference reproduces by scheduling them after all initial events.
-void one_random_program(std::uint64_t seed) {
+/// With `spawn`, some events schedule a child when they fire. Returns
+/// the wheel's clock after its run() returned.
+SimTime one_random_program(std::uint64_t seed,
+                           std::int64_t (*draw)(std::mt19937_64&) = draw_time,
+                           bool spawn = true) {
   std::mt19937_64 rng(seed);
   constexpr int kEvents = 400;
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -138,15 +162,15 @@ void one_random_program(std::uint64_t seed) {
   std::vector<GenEv> prog(kEvents);
   std::vector<GenEv> kids;
   for (int i = 0; i < kEvents; ++i) {
-    prog[static_cast<std::size_t>(i)].ns = draw_time(rng);
+    prog[static_cast<std::size_t>(i)].ns = draw(rng);
     double roll = u(rng);
     if (roll < 0.15) {
       prog[static_cast<std::size_t>(i)].cancelled = true;
     } else if (roll < 0.30) {
-      prog[static_cast<std::size_t>(i)].rearm_ns = draw_time(rng);
-    } else if (roll < 0.45) {
+      prog[static_cast<std::size_t>(i)].rearm_ns = draw(rng);
+    } else if (spawn && roll < 0.45) {
       prog[static_cast<std::size_t>(i)].child = static_cast<int>(kids.size());
-      prog[static_cast<std::size_t>(i)].child_delta = draw_time(rng) / 16 + 1;
+      prog[static_cast<std::size_t>(i)].child_delta = draw(rng) / 16 + 1;
       kids.push_back(GenEv{});
     }
   }
@@ -158,6 +182,7 @@ void one_random_program(std::uint64_t seed) {
   // Wheel run. Cancel via explicit cancel() for half the cancelled set
   // and handle destruction for the rest — same observable effect.
   std::vector<int> wheel_order;
+  SimTime wheel_end{};
   {
     sim::Scheduler s;
     std::vector<sim::Timer> live;
@@ -190,6 +215,7 @@ void one_random_program(std::uint64_t seed) {
     }
     s.run();
     CHECK(s.pending() == 0);
+    wheel_end = s.now();
   }
 
   // Reference run: same program, same semantics.
@@ -219,11 +245,22 @@ void one_random_program(std::uint64_t seed) {
 
   CHECK(wheel_order == ref_order);
   CHECK(!wheel_order.empty());
+  return wheel_end;
 }
 
 void randomized_equivalence() {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234ull, 99991ull})
     one_random_program(seed);
+}
+
+// The top wheel levels: events up to SimTime{INT64_MAX}, mixed with
+// near ones and cancelled or rearmed across levels, fire in the
+// reference order, and run() returns with the clock at INT64_MAX. No
+// event spawns a child, whose time could pass INT64_MAX.
+void top_levels_fire_in_reference_order() {
+  for (std::uint64_t seed : {3ull, 11ull, 2026ull})
+    CHECK(one_random_program(seed, draw_any_time, /*spawn=*/false) ==
+          SimTime{INT64_MAX});
 }
 
 // ---------------------------------------------------------------------
@@ -304,8 +341,8 @@ void rearm_paths() {
     CHECK(order == (std::vector<int>{1, 2}));
   }
   // Due-resident rearm: a sub-tick target (< 1024 ns, cursor at 0)
-  // lands straight in the due heap; retargeting from there takes the
-  // fresh-node path and must still work.
+  // lands straight in the due heap; retargeting from there leaves a
+  // stale heap entry behind and must still work.
   {
     sim::Scheduler s;
     std::vector<int> order;
@@ -315,8 +352,7 @@ void rearm_paths() {
     s.run();
     CHECK(order == (std::vector<int>{4, 3}));
   }
-  // Overflow-resident rearm: parked hours beyond the wheel span,
-  // pulled back to milliseconds.
+  // Level-4 rearm: parked hours ahead, pulled back to milliseconds.
   {
     sim::Scheduler s;
     std::vector<int> order;
@@ -341,10 +377,10 @@ void rearm_paths() {
   }
 }
 
-void overflow_cascade() {
-  // Events far beyond the wheel span (~73 min) park in the overflow
-  // list and must still fire in (time, insertion) order as the cursor
-  // jumps; a cancelled one leaves no firing and no pending residue.
+void level4_cascade() {
+  // Events hours ahead (past level 3's ~73 min) park in level 4 and
+  // must still fire in (time, insertion) order as the cursor jumps; a
+  // cancelled one leaves no firing and no pending residue.
   sim::Scheduler s;
   std::vector<int> order;
   const std::int64_t kHour = 3600LL * 1000 * 1000 * 1000;
@@ -392,7 +428,7 @@ void counters_and_drain() {
   sim::Scheduler s;
   CHECK(s.pending() == 0);
   sim::Timer a = s.schedule_after(SimTime::from_ms(1), [] {});     // wheel
-  sim::Timer b = s.schedule_after(SimTime::from_sec(9000), [] {});  // overflow
+  sim::Timer b = s.schedule_after(SimTime::from_sec(9000), [] {});  // level 4
   s.post_at(SimTime{10}, [] {});                                    // due
   CHECK(s.pending() == 3);
   std::uint64_t before = s.executed();
@@ -439,10 +475,10 @@ void bounded_runs_fire_everything_due() {
   CHECK(stranded == 0);
 }
 
-// Destroying handles never allocates, on any residency: a wheel node
-// goes straight back to the free list, a due or overflow node becomes
-// a shell that the drain frees later, and neither touches the heap.
-// 5,000 handles span 20 pages.
+// Destroying handles never allocates, on any residency: a node goes
+// straight back to the free list, wherever it sits, and a due node's
+// heap entry goes stale and is popped by the drain; neither touches the
+// heap. 5,000 handles span 20 pages.
 void cancel_never_allocates() {
   constexpr int kTimers = 5000;
   sim::Scheduler s;
@@ -454,17 +490,95 @@ void cancel_never_allocates() {
     switch (i % 3) {
       case 0: t = SimTime{i % 1000}; break;                 // due (sub-tick)
       case 1: t = SimTime::from_us(2 + i); break;           // wheel
-      default: t = SimTime::from_sec(3600 * 5 + i); break;  // overflow
+      default: t = SimTime::from_sec(3600 * 5 + i); break;  // level 4
     }
     handles.push_back(s.schedule_at(t, [&fired] { ++fired; }));
   }
   CHECK(s.pending() == static_cast<std::size_t>(kTimers));
   const std::size_t before = g_allocs;
   handles.clear();
-  s.run();  // frees the due and overflow shells
+  s.run();  // pops the stale due entries
   CHECK(g_allocs == before);
   CHECK(fired == 0);
   CHECK(s.pending() == 0);
+}
+
+// Timers hours ahead are wheel nodes like any other (level 4): on a
+// warm pool, arming, rearming and cancelling 500 of them 5–6 h ahead
+// allocates nothing.
+void far_future_timers_never_allocate() {
+  constexpr int kTimers = 500;
+  const std::int64_t k5h = SimTime::from_sec(5 * 3600).ns;
+  const std::int64_t k7s = SimTime::from_sec(7).ns;
+  sim::Scheduler s;
+  std::vector<sim::Timer> handles;
+  handles.reserve(kTimers);
+  int fired = 0;
+  auto round = [&] {
+    for (int i = 0; i < kTimers; ++i)
+      handles.push_back(
+          s.schedule_at(SimTime{k5h + i * k7s}, [&fired] { ++fired; }));
+    for (int i = 0; i < kTimers; ++i)
+      CHECK(handles[static_cast<std::size_t>(i)].rearm_at(
+          SimTime{k5h + (kTimers - i) * k7s}));
+    CHECK(s.pending() == static_cast<std::size_t>(kTimers));
+    handles.clear();
+    CHECK(s.pending() == 0);
+    s.run();
+  };
+  round();  // warm: the pool's pages
+  const std::size_t before = g_allocs;
+  round();
+  CHECK(g_allocs == before);
+  CHECK(fired == 0);
+}
+
+// A cancelled or rearmed due-heap node is reused at once; only its heap
+// entry goes stale. Six rounds of 200 arms, rearms and cancels of
+// due-heap residents, with no run between them to pop the stale
+// entries, add no node page to a one-page pool. Each rearmed handle
+// stays armed() and fires once, at its new time.
+void due_heap_nodes_are_reused() {
+  constexpr int kTimers = 200;
+  struct Log {
+    sim::Scheduler s;
+    std::vector<std::int64_t> at = std::vector<std::int64_t>(kTimers, -1);
+    int fires = 0;
+  } log;
+  sim::Scheduler& s = log.s;
+  for (int i = 0; i < 256; ++i)
+    s.post_after(SimTime::from_us(1 + i), [l = &log] { ++l->fires; });
+  s.run();  // one page; the cursor sits at now's tick, so now is due
+  log.fires = 0;
+  std::vector<sim::Timer> handles;
+  handles.reserve(kTimers);
+  auto round = [&] {
+    for (int i = 0; i < kTimers; ++i)
+      handles.push_back(s.schedule_after(
+          SimTime{0}, [l = &log, k = static_cast<std::size_t>(i)] {
+            l->at[k] = l->s.now().ns;
+            ++l->fires;
+          }));
+    for (int i = 0; i < kTimers; ++i) {  // to later ns of the same tick
+      sim::Timer& t = handles[static_cast<std::size_t>(i)];
+      CHECK(t.rearm(SimTime{1 + i}));
+      CHECK(t.armed());
+    }
+  };
+  const std::size_t pages = g_pages;
+  for (int r = 0; r < 6; ++r) {
+    round();
+    handles.clear();
+  }
+  CHECK(g_pages == pages);
+  CHECK(s.pending() == 0);
+  const std::int64_t t0 = s.now().ns;
+  round();
+  s.run();
+  CHECK(log.fires == kTimers);
+  for (int i = 0; i < kTimers; ++i)
+    CHECK(log.at[static_cast<std::size_t>(i)] == t0 + 1 + i);
+  CHECK(g_pages == pages);
 }
 
 // A periodic that schedules more than a page of one-shots on each
@@ -652,7 +766,7 @@ auto shared_closure(Life* l) {
 
 template <typename Make>
 void closure_lifetimes(Make make, bool boxed) {
-  const SimTime kFar = SimTime::from_sec(3600 * 5);  // overflow list
+  const SimTime kFar = SimTime::from_sec(3600 * 5);  // level 4
   const SimTime kSubTick{300};                        // due heap
   // Scheduling costs one allocation (the box) when boxed, else none.
   {
@@ -678,7 +792,7 @@ void closure_lifetimes(Make make, bool boxed) {
     CHECK(l.runs == 2);
     CHECK(l.destroyed == 2);
   }
-  // Cancelled on each residency: wheel, due heap, overflow list.
+  // Cancelled on each residency: level 0, due heap, level 4.
   for (SimTime at : {kSubTick, SimTime::from_ms(1), kFar}) {
     sim::Scheduler s;
     Life l;
@@ -689,8 +803,8 @@ void closure_lifetimes(Make make, bool boxed) {
     CHECK(l.runs == 0);
     CHECK(l.destroyed == 1);
   }
-  // Rearmed from the due heap and from the overflow list: the closure
-  // moves to a fresh node and the old one is left a shell.
+  // Rearmed from the due heap and from level 4: the closure stays in
+  // its node, which is re-placed under a new generation.
   for (SimTime at : {kSubTick, kFar}) {
     sim::Scheduler s;
     Life l;
@@ -751,15 +865,18 @@ void boxed_and_shared_closures_live_once() {
 
 int main() {
   randomized_equivalence();
+  top_levels_fire_in_reference_order();
   cancel_before_fire();
   cancel_at_fire_time();
   cancel_after_fire();
   rearm_paths();
-  overflow_cascade();
+  level4_cascade();
   periodic_cadence();
   counters_and_drain();
   bounded_runs_fire_everything_due();
   cancel_never_allocates();
+  far_future_timers_never_allocate();
+  due_heap_nodes_are_reused();
   pool_grows_inside_callbacks();
   small_closures_never_allocate();
   boxed_and_shared_closures_live_once();

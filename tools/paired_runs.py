@@ -7,10 +7,11 @@
 
 DIR is the root of a checkout. Each tree is built and run by its own
 benchmark/run.sh, from its own root and into its own build directory
-(DIR/.bench_build), with --trace 0. One untimed run per tree first builds
-it; then each pair runs both trees, the parent first in even pairs and the
-change first in odd ones. Every run's summary line, with its digest, side
-and pair, is appended to --out as one JSON object.
+(DIR/.bench_build). One untimed --trace 1 --seconds 1 run per tree first
+builds it and records its deterministic ("det") metrics; then each pair
+runs both trees with --trace 0, the parent first in even pairs and the
+change first in odd ones. Every timed run's summary line, with its digest,
+side and pair, is appended to --out as one JSON object.
 
 For each end-to-end metric of BENCHMARK.json (read from the change tree)
 it prints each side's median and quartiles (statistics.quantiles' default
@@ -27,8 +28,11 @@ for neither), the ratio of the medians, and a verdict:
                   parent run;
     within bound  otherwise.
 
-Then each side's failed and attempted operations, and whether the digests
-agree. Exits 1 when a run fails or reports a failed check.
+Then each side's failed and attempted operations, whether the digests
+agree, and "det metrics: same" or each det metric of the traced runs that
+differs (name, parent value, change value) or that one side lacks. Those
+lines report, they do not fail: a change may move det metrics on purpose.
+Exits 1 when a run fails or reports a failed check.
 """
 import argparse
 import json
@@ -78,8 +82,9 @@ def compare(metric, parent, change):
 
 
 def parse_run(stdout):
-    """(digest line, summary line) of one rina_bench run's stdout."""
-    digest, summary = None, None
+    """(digest line, summary line, {det metric: value}) of one rina_bench
+    run's stdout."""
+    digest, summary, det = None, None, {}
     for line in stdout.splitlines():
         line = line.strip()
         if not line.startswith("{"):
@@ -89,22 +94,38 @@ def parse_run(stdout):
             digest = obj
         if "metrics" in obj and "correct" in obj:
             summary = obj
-    return digest, summary
+        if "metric" in obj and obj.get("det"):
+            det[obj["metric"]] = obj["value"]
+    return digest, summary, det
 
 
-def run_tree(tree, args, seconds):
+def det_diff(parent, change):
+    """One line per det metric whose values differ or that one side lacks,
+    in the parent's order, then the change's extras; empty when equal."""
+    lines = []
+    for name, p in parent.items():
+        if name not in change:
+            lines.append(f"  {name}: parent {p!r}, change lacks it")
+        elif change[name] != p:
+            lines.append(f"  {name}: parent {p!r}, change {change[name]!r}")
+    lines += [f"  {name}: parent lacks it, change {c!r}"
+              for name, c in change.items() if name not in parent]
+    return lines
+
+
+def run_tree(tree, args, seconds, trace=0):
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(tree, ".bench_build"))
     cmd = ["bash", "benchmark/run.sh", "--workload", args.workload, "--seed",
-           str(args.seed), "--seconds", str(seconds), "--trace", "0"]
+           str(args.seed), "--seconds", str(seconds), "--trace", str(trace)]
     p = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                        stderr=subprocess.DEVNULL, text=True)
-    digest, summary = parse_run(p.stdout)
+    digest, summary, det = parse_run(p.stdout)
     if p.returncode != 0 or summary is None:
         sys.exit(f"paired_runs: {tree}: run.sh exited {p.returncode}")
-    return digest, summary
+    return digest, summary, det
 
 
-def report(metrics, records):
+def report(metrics, records, det):
     by_side = {"parent": [], "change": []}
     for r in sorted(records, key=lambda r: r["pair"]):
         by_side[r["side"]].append(r)
@@ -130,12 +151,15 @@ def report(metrics, records):
     print("digests: " + ("same" if digests["parent"] == digests["change"]
                          else f"parent {sorted(digests['parent'])} change "
                               f"{sorted(digests['change'])}"))
+    diff = det_diff(det["parent"], det["change"])
+    print("det metrics: " + ("same" if not diff else "differ\n" + "\n".join(diff)))
     return bad
 
 
 def self_test():
     """The verdicts on canned inputs: a gain, a regression, an unresolved
-    metric, ties, and the run parser."""
+    metric, ties, the run parser, and equal, moved and missing det
+    metrics."""
     higher = {"name": "sim_rate", "better": "higher", "bound": 0.25}
     lower = {"name": "setup_s", "better": "lower", "bound": 0.25}
     rss = {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}
@@ -181,10 +205,27 @@ def self_test():
     out = ('{"workload":"control_churn","seed":1,"digest":"53e8ef41c64c6e75","ok":true}\n'
            '{"correct":true,"attempted":5000,"failed":0,"metrics":{"sim_rate":'
            '{"value":17.6,"unit":"sim_s/s"}}}\n')
-    digest, summary = parse_run(out)
+    digest, summary, _ = parse_run(out)
     checks.append(("parses the digest and summary lines",
                    digest["digest"] == "53e8ef41c64c6e75" and summary["attempted"] == 5000
                    and summary["metrics"]["sim_rate"]["value"] == 17.6))
+    traced = ('{"workload":"control_churn","seed":1,"metric":"sim.events","value":91234,'
+              '"unit":"count","kind":"layer","det":true}\n'
+              '{"workload":"control_churn","seed":1,"metric":"sim.ns_per_event","value":61.5,'
+              '"unit":"ns","kind":"layer","det":false}\n'
+              '{"workload":"control_churn","seed":1,"metric":"converge_ms","value":0.405,'
+              '"unit":"ms","kind":"e2e","det":true}\n' + out)
+    det = parse_run(traced)[2]
+    checks.append(("keeps the det metrics, e2e and layer, and only those",
+                   det == {"sim.events": 91234, "converge_ms": 0.405}))
+    checks.append(("equal det metrics: no line", det_diff(det, dict(det)) == []))
+    moved = det_diff(det, {"sim.events": 91235, "converge_ms": 0.405})
+    checks.append(("a moved det metric: its name and both values",
+                   moved == ["  sim.events: parent 91234, change 91235"]))
+    missing = det_diff(det, {"sim.events": 91234, "rmt.drops": 0})
+    checks.append(("a det metric one side lacks, either way",
+                   missing == ["  converge_ms: parent 0.405, change lacks it",
+                               "  rmt.drops: parent lacks it, change 0"]))
 
     for name, passed in checks:
         print(("ok    " if passed else "FAIL  ") + name)
@@ -210,14 +251,14 @@ def main():
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
         metrics = json.load(f)["end_to_end"]
 
-    for tree in trees.values():
-        run_tree(tree, args, 0.1)  # build; not counted
+    # Build each tree and keep its det metrics; not timed.
+    det = {side: run_tree(tree, args, 1, trace=1)[2] for side, tree in trees.items()}
     records = []
     with open(args.out, "a") as out:
         for pair in range(args.pairs):
             order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in order:
-                digest, summary = run_tree(trees[side], args, args.seconds)
+                digest, summary, _ = run_tree(trees[side], args, args.seconds)
                 rec = {"side": side, "pair": pair, "first": side == order[0],
                        "workload": args.workload, "seed": args.seed,
                        "seconds": args.seconds, "digest": digest and digest.get("digest"),
@@ -226,7 +267,7 @@ def main():
                 out.flush()
                 records.append(rec)
     print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s")
-    return 1 if report(metrics, records) else 0
+    return 1 if report(metrics, records, det) else 0
 
 
 if __name__ == "__main__":
