@@ -192,15 +192,16 @@ Out run_mobile_ip(SimTime interval) {
   auto drive = [&](SimTime dur) {
     SimTime end = net.now() + dur;
     while (net.now() < end) {
-      BufWriter w(16);
-      w.put_u64(seq++);
-      w.put_u64(static_cast<std::uint64_t>(net.now().ns));
+      std::uint8_t stamp[16];
+      store_be64(stamp, seq++);
+      store_be64(stamp + 8, static_cast<std::uint64_t>(net.now().ns));
       IpHeader h;
       h.src = cn_addr;
       h.dst = home_addr;
       h.proto = kProtoUdp;
       ++offered;
-      (void)net.node("cn").ip_send(h, std::move(w).take());
+      (void)net.node("cn").ip_send(
+          h, Packet::with_headroom(kDefaultHeadroom, BytesView{stamp, sizeof stamp}));
       net.run_for(SimTime::from_sec(1.0 / kPps));
     }
   };

@@ -100,7 +100,6 @@ std::array<ClassResult, 3> run(bool provider_qos) {
     flow::QosSpec spec;
     spec.cube_hint = klass[static_cast<std::size_t>(i)];
     spec.reliable = false;
-    spec.in_order = false;
     flows.push_back(must_open_flow(net, "src" + std::to_string(i),
                                    naming::AppName("cli" + std::to_string(i)),
                                    naming::AppName("app" + std::to_string(i)),

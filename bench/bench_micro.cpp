@@ -8,7 +8,7 @@
 //
 // The "Encap" section measures the zero-copy SDU datapath: how many
 // payload copies one SDU costs end-to-end as DIF stacking depth grows.
-// `copies/sdu` comes from rina::packet_counters() — the process-wide
+// `copies/sdu` comes from rina::packet_counters() — the calling thread's
 // Packet copy instrumentation — so the numbers are exact counts, not
 // estimates. Zero-copy encap pins copies/sdu at 1 (the edge copy into
 // the headroomed buffer) at any depth; the legacy copy-per-layer
@@ -56,7 +56,7 @@ static void BM_PciDecode(benchmark::State& state) {
   pdu.payload = Bytes(1000, 0xAA);
   Bytes wire = pdu.encode();
   for (auto _ : state) {
-    auto decoded = efcp::Pdu::decode_packet(Packet{Bytes(wire)});
+    auto decoded = efcp::Pdu::decode_packet(Packet::with_headroom(0, BytesView{wire}));
     benchmark::DoNotOptimize(decoded);
   }
 }

@@ -16,12 +16,11 @@ constexpr std::uint8_t kRegRelay = 1;
 constexpr std::uint8_t kRegAck = 2;
 constexpr SimTime kRegRetry = SimTime::from_ms(150);
 
-Bytes mip_msg(std::uint8_t type, IpAddr home, IpAddr extra) {
-  BufWriter w(9);
-  w.put_u8(type);
-  w.put_u32(home);
-  w.put_u32(extra);
-  return std::move(w).take();
+Packet mip_msg(std::uint8_t type, IpAddr home, IpAddr extra) {
+  std::uint8_t msg[9] = {type};
+  store_be32(msg + 1, home);
+  store_be32(msg + 5, extra);
+  return Packet::with_headroom(kDefaultHeadroom, BytesView{msg, sizeof msg});
 }
 }  // namespace
 

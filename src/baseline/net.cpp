@@ -463,7 +463,7 @@ std::pair<IpAddr, IpAddr> BaselineNet::add_link(const std::string& a,
   rec->addr_b = addr_b;
   rec->domain = domain;
   rec->link = std::make_unique<sim::Link>(sched_, cfg,
-                                          seed_ * 0x2545f491ULL + ++link_seq_, a, b);
+                                          seed_ * 0x2545f491ULL + ++link_seq_);
 
   auto wire = [&](BNode& n, int side, IpAddr addr, IpAddr peer_addr,
                   const std::string& peer) {

@@ -20,31 +20,33 @@
 // retransmission — which prepends onto a parked, non-frontier handle —
 // pays a copy.
 //
-// Allocation model: buffers come from PacketArena, a THREAD-LOCAL pool
-// of power-of-two size-class free-lists. Releasing the last handle
-// returns the buffer (vector capacity intact) to the releasing thread's
-// class list, so steady-state traffic recycles a small working set
-// instead of hitting the global allocator per PDU. Under the sharded
-// scheduler each worker thread drives a fixed block of shards, so the
-// thread-local pool *is* the per-shard pool and the hot path stays
-// free of atomics and locks. A buffer that crosses shards simply
-// migrates pools: it is freed into whichever thread dropped the last
-// handle. The refcount stays plain (non-atomic) because a Packet is
-// only ever visible to one thread at a time — the cross-shard path
-// enforces exclusive ownership (deep-copying shared buffers) and the
-// ring's release/acquire pair orders the hand-off.
+// Allocation model: a buffer is ONE heap block, a 16-byte header
+// (refcount, frontier, size class) followed by its bytes. Buffers come
+// from PacketArena, a THREAD-LOCAL pool of power-of-two size-class
+// free-lists; a buffer's class is fixed when it is made, so a list only
+// ever holds buffers of its own size. Releasing the last handle returns
+// the buffer to the releasing thread's list for its class, so
+// steady-state traffic recycles a small working set instead of hitting
+// the global allocator per PDU. Under the sharded scheduler each worker
+// thread drives a fixed block of shards, so the thread-local pool *is*
+// the per-shard pool and the hot path stays free of atomics and locks.
+// A buffer that crosses shards simply migrates pools: it is freed into
+// whichever thread dropped the last handle. The refcount stays plain
+// (non-atomic) because a Packet is only ever visible to one thread at a
+// time — the cross-shard path enforces exclusive ownership (deep-copying
+// shared buffers) and the ring's release/acquire pair orders the
+// hand-off. Nothing zero-fills headroom: every prepend() caller writes
+// the whole header it asked for.
 //
-// Counters are thread-local too (same no-atomics argument), registered
-// so packet_counters_total() can aggregate on read — valid only while
-// worker threads are quiesced (between scheduler windows), which is
-// the only time anyone reads stats. bench_micro's encap/arena sections
-// and test_packet assert from the calling thread's view.
+// Counters are one plain thread_local block per thread (same
+// no-atomics argument). Every reader (the benchmark's windows,
+// bench_micro, test_packet) reads the block of the thread that drove
+// the traffic.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <mutex>
-#include <utility>
+#include <new>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -66,85 +68,30 @@ struct PacketCounters {
   std::uint64_t arena_returns = 0;     // buffers recycled into the free-list
 
   void reset() { *this = PacketCounters{}; }
-
-  void add(const PacketCounters& o) {
-    allocs += o.allocs;
-    payload_copies += o.payload_copies;
-    cow_copies += o.cow_copies;
-    headroom_reallocs += o.headroom_reallocs;
-    arena_hits += o.arena_hits;
-    arena_returns += o.arena_returns;
-  }
 };
-
-namespace detail {
-
-/// Registry of every thread's counter block, so totals can be summed on
-/// demand. Threads register on first Packet use and fold their final
-/// numbers into `retired` on exit. The mutex is touched only at thread
-/// birth/death and in packet_counters_total() — never per packet.
-struct CounterRegistry {
-  std::mutex mu;
-  std::vector<const PacketCounters*> live;
-  PacketCounters retired;
-
-  static CounterRegistry& instance() {
-    static CounterRegistry r;
-    return r;
-  }
-};
-
-struct TlsCounters {
-  PacketCounters c;
-  TlsCounters() {
-    auto& r = CounterRegistry::instance();
-    std::lock_guard<std::mutex> lk(r.mu);
-    r.live.push_back(&c);
-  }
-  ~TlsCounters() {
-    auto& r = CounterRegistry::instance();
-    std::lock_guard<std::mutex> lk(r.mu);
-    r.retired.add(c);
-    for (auto it = r.live.begin(); it != r.live.end(); ++it)
-      if (*it == &c) {
-        r.live.erase(it);
-        break;
-      }
-  }
-};
-
-}  // namespace detail
 
 /// The calling thread's counters. In a single-threaded run this is the
-/// process total, exactly as before sharding.
+/// process total.
 inline PacketCounters& packet_counters() {
-  static thread_local detail::TlsCounters t;
-  return t.c;
-}
-
-/// Every thread's counters summed (live + exited). Only meaningful
-/// while other threads are quiesced — e.g. from the driver thread
-/// between scheduler windows, which barrier-orders their writes.
-inline PacketCounters packet_counters_total() {
-  auto& r = detail::CounterRegistry::instance();
-  std::lock_guard<std::mutex> lk(r.mu);
-  PacketCounters sum = r.retired;
-  for (const PacketCounters* c : r.live) sum.add(*c);
-  return sum;
+  static thread_local PacketCounters c;
+  return c;
 }
 
 namespace detail {
 
+/// The header of one buffer block; the buffer's bytes follow it.
 struct PacketBuf {
-  Bytes store;
   std::size_t min_off = 0;   // frontier: lowest offset any handle reached
-  std::uint32_t refs = 1;    // plain count: the simulator is one thread
+  std::uint32_t refs = 1;    // plain count: one thread at a time
   std::uint8_t size_class = 0;
-};
 
-/// Pool of PacketBuf nodes keyed by power-of-two capacity class. A
-/// released buffer keeps its vector capacity, so re-acquiring one is a
-/// resize() that never reallocates.
+  std::uint8_t* bytes() noexcept {
+    return reinterpret_cast<std::uint8_t*>(this) + sizeof(PacketBuf);
+  }
+};
+static_assert(sizeof(PacketBuf) == 16, "the header is 16 bytes; its bytes stay aligned");
+
+/// Pool of buffers keyed by power-of-two size class.
 class PacketArena {
  public:
   static constexpr std::size_t kMinClass = 256;      // class 0
@@ -156,7 +103,7 @@ class PacketArena {
   /// One arena per thread: the hot path allocates and frees with zero
   /// synchronization. Buffers may be released on a different thread
   /// than they were acquired on (cross-shard frames) — they just join
-  /// that thread's pool. A worker's arena destructor only deletes
+  /// that thread's pool. A worker's arena destructor only frees
   /// buffers in its own free lists (refs == 0 by definition), never
   /// buffers still referenced elsewhere.
   static PacketArena& instance() {
@@ -164,56 +111,37 @@ class PacketArena {
     return a;
   }
 
-  /// A buffer whose store has exactly `bytes` size (uninitialised tail).
+  /// A buffer of at least `bytes` uninitialised bytes: its class's
+  /// size, or exactly `bytes` (never pooled) past the largest class.
   PacketBuf* acquire(std::size_t bytes) {
     int cls = class_of(bytes);
-    if (cls >= 0 && !free_[cls].empty()) {
-      PacketBuf* b = free_[cls].back();
-      free_[cls].pop_back();
-      b->store.resize(bytes);  // capacity >= class size: no reallocation
-      b->min_off = 0;
-      b->refs = 1;
-      ++packet_counters().arena_hits;
-      return b;
-    }
-    auto* b = new PacketBuf;
-    if (cls >= 0) b->store.reserve(class_size(cls));
-    b->store.resize(bytes);
-    b->size_class = cls >= 0 ? static_cast<std::uint8_t>(cls) : kUnpooled;
-    return b;
-  }
-
-  /// Adopt an externally built vector; it joins a class by capacity on
-  /// release (floor power of two), or stays unpooled if too small.
-  PacketBuf* adopt(Bytes&& v) {
-    auto* b = new PacketBuf;
-    b->store = std::move(v);
-    b->size_class = floor_class_of(b->store.capacity());
+    if (cls < 0) return make(bytes, kUnpooled);
+    auto& list = free_[cls];
+    if (list.empty()) return make(class_size(cls), static_cast<std::uint8_t>(cls));
+    PacketBuf* b = list.back();
+    list.pop_back();
+    b->refs = 1;
+    ++packet_counters().arena_hits;
     return b;
   }
 
   void release(PacketBuf* b) {
-    // Re-class by what the vector actually holds now: take_bytes() may
-    // have moved the storage out, and adoption-time capacity can change
-    // across a prepend realloc.
-    b->size_class = floor_class_of(b->store.capacity());
     if (b->size_class != kUnpooled) {
       auto& list = free_[b->size_class];
       if (list.size() < kClassCapBytes / class_size(b->size_class)) {
-        b->min_off = 0;
         list.push_back(b);
         ++packet_counters().arena_returns;
         return;
       }
     }
-    delete b;
+    ::operator delete(b);
   }
 
  private:
   PacketArena() = default;
   ~PacketArena() {
     for (auto& list : free_)
-      for (PacketBuf* b : list) delete b;
+      for (PacketBuf* b : list) ::operator delete(b);
   }
 
   static constexpr std::size_t class_size(int cls) { return kMinClass << cls; }
@@ -226,13 +154,10 @@ class PacketArena {
     return -1;
   }
 
-  /// Largest class whose size <= capacity; unpooled when below kMinClass.
-  static std::uint8_t floor_class_of(std::size_t capacity) {
-    int best = -1;
-    std::size_t sz = kMinClass;
-    for (int c = 0; c < kClasses; ++c, sz <<= 1)
-      if (capacity >= sz) best = c;
-    return best < 0 ? kUnpooled : static_cast<std::uint8_t>(best);
+  /// One block: the header, then `bytes` bytes.
+  static PacketBuf* make(std::size_t bytes, std::uint8_t cls) {
+    void* block = ::operator new(sizeof(PacketBuf) + bytes);
+    return new (block) PacketBuf{0, 1, cls};
   }
 
   std::vector<PacketBuf*> free_[kClasses];
@@ -244,15 +169,10 @@ class Packet {
  public:
   Packet() = default;
 
-  /// Adopt a byte vector as-is (no copy, no headroom). The first prepend
-  /// pays one realloc; prefer with_headroom() on hot paths.
-  Packet(Bytes b) {  // NOLINT(google-explicit-constructor): edge adoption
-    if (b.empty() && b.capacity() == 0) return;
-    buf_ = detail::PacketArena::instance().adopt(std::move(b));
-    off_ = 0;
-    len_ = buf_->store.size();
-    ++packet_counters().allocs;
-  }
+  /// Copy `b` into a buffer without headroom (tests and tools; the
+  /// first prepend pays one more copy). Hot paths use with_headroom().
+  Packet(const Bytes& b)  // NOLINT(google-explicit-constructor): edge copy
+      : Packet(with_headroom(0, BytesView{b})) {}
 
   ~Packet() { reset(); }
 
@@ -291,7 +211,7 @@ class Packet {
     Packet p;
     p.buf_ = detail::PacketArena::instance().acquire(headroom + payload.size());
     if (!payload.empty())
-      std::memcpy(p.buf_->store.data() + headroom, payload.data(), payload.size());
+      std::memcpy(p.buf_->bytes() + headroom, payload.data(), payload.size());
     p.buf_->min_off = headroom;
     p.off_ = headroom;
     p.len_ = payload.size();
@@ -307,7 +227,7 @@ class Packet {
   [[nodiscard]] std::size_t size() const noexcept { return len_; }
   [[nodiscard]] bool empty() const noexcept { return len_ == 0; }
   [[nodiscard]] const std::uint8_t* data() const noexcept {
-    return buf_ != nullptr ? buf_->store.data() + off_ : nullptr;
+    return buf_ != nullptr ? buf_->bytes() + off_ : nullptr;
   }
   [[nodiscard]] BytesView view() const noexcept { return BytesView{data(), len_}; }
   operator BytesView() const noexcept { return view(); }  // NOLINT: read adaptor
@@ -346,7 +266,7 @@ class Packet {
     off_ -= n;
     len_ += n;
     buf_->min_off = off_;
-    return buf_->store.data() + off_;
+    return buf_->bytes() + off_;
   }
 
   /// Drop n bytes from the front (layer peels its header off in place).
@@ -385,17 +305,11 @@ class Packet {
   /// Copy the current view into a fresh Bytes.
   [[nodiscard]] Bytes to_bytes() const { return view().to_bytes(); }
 
-  /// Convert to Bytes at the app edge: moves the underlying vector out
-  /// when this handle exclusively owns the whole buffer, copies otherwise.
+  /// Copy the view out at the app edge and drop this handle.
   [[nodiscard]] Bytes take_bytes() && {
     if (buf_ == nullptr) return {};
-    if (buf_->refs == 1 && off_ == 0 && len_ == buf_->store.size()) {
-      Bytes out = std::move(buf_->store);
-      reset();  // the emptied shell still recycles into the arena
-      return out;
-    }
     ++packet_counters().payload_copies;
-    Bytes out = view().to_bytes();
+    Bytes out = to_bytes();
     reset();
     return out;
   }
@@ -418,7 +332,7 @@ class Packet {
     detail::PacketBuf* fresh =
         detail::PacketArena::instance().acquire(hr + len_);
     if (len_ != 0)
-      std::memcpy(fresh->store.data() + hr, buf_->store.data() + off_, len_);
+      std::memcpy(fresh->bytes() + hr, buf_->bytes() + off_, len_);
     fresh->min_off = hr;
     release();
     buf_ = fresh;

@@ -128,7 +128,7 @@ struct Pdu {
   }
 
   static Result<Pdu> decode(BytesView wire) {
-    return decode_packet(Packet{wire.to_bytes()});
+    return decode_packet(Packet::with_headroom(0, wire));
   }
 };
 

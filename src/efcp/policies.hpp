@@ -33,11 +33,11 @@ struct EfcpPolicies {
   bool reliable = true;
   bool in_order = true;
   std::size_t send_queue = 256;   // PDUs held while the window is closed
-  std::size_t reorder_buf = 1024; // out-of-order PDUs held at the receiver
+  static constexpr std::size_t reorder_buf = 1024;  // out-of-order PDUs held at the receiver
   SimTime initial_rto = SimTime::from_ms(100);
   SimTime min_rto = SimTime::from_ms(20);
   SimTime max_rto = SimTime::from_sec(2);
-  int fast_retx_dups = 3;
+  static constexpr int fast_retx_dups = 3;
 
   // ---- DTCP: transmission control ----
   TxPolicy tx_policy = TxPolicy::static_window;
@@ -52,13 +52,13 @@ struct EfcpPolicies {
   // cubic: RFC 8312 constants — the cubic coefficient C, the
   // multiplicative-decrease factor β, and fast convergence (release the
   // window plateau early when capacity shrank since the last episode).
-  double cubic_c = 0.4;
-  double cubic_beta = 0.7;
+  static constexpr double cubic_c = 0.4;
+  static constexpr double cubic_beta = 0.7;
   bool cubic_fast_convergence = true;
   // delay_based: Vegas-style queue estimate q = cwnd·(srtt − min_rtt)/srtt
   // (PDUs the flow itself keeps queued in the network). Grow below
   // vegas_alpha, back off above vegas_beta, hold in between.
-  double vegas_alpha = 2.0;
+  static constexpr double vegas_alpha = 2.0;
   double vegas_beta = 4.0;
 
   /// Mechanism profile by policy name: a DTP profile, or a DTCP

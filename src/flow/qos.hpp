@@ -40,14 +40,12 @@ struct QosCube {
 
 /// What the application requests at allocation time.
 struct QosSpec {
-  std::string cube_hint;  // match a cube by name; empty = match by flags
+  std::string cube_hint;  // match a cube by name; empty = match by `reliable`
   bool reliable = false;
-  bool in_order = false;
 
   static QosSpec reliable_default() {
     QosSpec s;
     s.reliable = true;
-    s.in_order = true;
     return s;
   }
   static QosSpec unreliable() { return QosSpec{}; }

@@ -251,7 +251,7 @@ sim::Link& Network::add_link(const std::string& a, const std::string& b,
   // Each endpoint's timers (serialization, delivery) run on its own
   // node's shard; on an unsharded Network both resolve to sched_.
   rec->link = std::make_unique<sim::Link>(na.sched(), nb.sched(), cfg,
-                                          seed_ * 0x9e3779b9ULL + ++link_seq_, a, b);
+                                          seed_ * 0x9e3779b9ULL + ++link_seq_);
   if (sharded_ && na.shard_ != nb.shard_) {
     sharded_->note_cross_delay(cfg.delay);  // aborts on non-positive delay
     rec->link->set_cross(

@@ -101,13 +101,11 @@ class Link {
   /// General form: endpoint a's scheduler and endpoint b's. They are
   /// the same object unless the endpoints live on different shards.
   Link(Scheduler& sched_a, Scheduler& sched_b, LinkConfig cfg,
-       std::uint64_t seed, std::string a, std::string b)
+       std::uint64_t seed)
       : sched_a_(sched_a),
         sched_b_(sched_b),
         cfg_(cfg),
         seed_(seed),
-        name_a_(std::move(a)),
-        name_b_(std::move(b)),
         ep_{Endpoint{this, 0}, Endpoint{this, 1}} {
     if (cfg_.ge) {
       rng_ = std::make_unique<std::mt19937_64>(seed_);
@@ -116,9 +114,8 @@ class Link {
     }
   }
 
-  Link(Scheduler& sched, LinkConfig cfg, std::uint64_t seed, std::string a,
-       std::string b)
-      : Link(sched, sched, cfg, seed, std::move(a), std::move(b)) {}
+  Link(Scheduler& sched, LinkConfig cfg, std::uint64_t seed)
+      : Link(sched, sched, cfg, seed) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -162,12 +159,6 @@ class Link {
 
     [[nodiscard]] bool carrier() const { return link_->up_; }
     [[nodiscard]] Link& link() { return *link_; }
-    [[nodiscard]] const std::string& peer_name() const {
-      return side_ == 0 ? link_->name_b_ : link_->name_a_;
-    }
-    [[nodiscard]] const std::string& local_name() const {
-      return side_ == 0 ? link_->name_a_ : link_->name_b_;
-    }
 
    private:
     Link* link_;
@@ -179,8 +170,6 @@ class Link {
   Endpoint& ep(int side) { return ep_[side]; }
 
   [[nodiscard]] bool up() const noexcept { return up_; }
-  [[nodiscard]] const std::string& name_a() const { return name_a_; }
-  [[nodiscard]] const std::string& name_b() const { return name_b_; }
 
   /// Driver thread only (shared state read by both directions).
   void set_up(bool up) {
@@ -461,7 +450,6 @@ class Link {
   LinkConfig cfg_;
   std::uint64_t seed_;
   std::unique_ptr<std::mt19937_64> rng_;  // set iff cfg_.ge
-  std::string name_a_, name_b_;
   Direction dir_[2];
   Endpoint ep_[2];
   std::function<void(bool)> carrier_cb_[2];

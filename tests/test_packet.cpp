@@ -1,11 +1,15 @@
-// test_packet — the zero-copy Packet buffer: prepend/pull round trips,
+// test_packet — the zero-copy Packet buffer: one heap allocation per
+// fresh buffer and none for a pooled one, prepend/pull round trips,
 // headroom-exhaustion fallback, the frontier sharing rule (copy-on-write
-// only when a parked handle prepends), and the end-to-end "one payload
+// only when a parked handle prepends), the counted copies at the edges
+// (Packet(const Bytes&), take_bytes), and the end-to-end "one payload
 // copy per SDU" invariant through stacked reliable EFCP connections
 // with retransmit queues and lossy wires.
 #include "common/packet.hpp"
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -14,7 +18,42 @@
 #include "efcp_stack_harness.hpp"
 #include "test_util.hpp"
 
+// Heap allocations made by this process, for the buffer checks.
+static std::size_t g_allocs = 0;
+
+__attribute__((noinline)) void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 using namespace rina;
+
+// A buffer is one block, header and bytes: a fresh one costs exactly one
+// heap allocation while it is held, and one taken back from its class's
+// free list costs none. Runs first, so the 8 KiB class is still unused.
+static void one_allocation_per_buffer() {
+  (void)packet_counters();  // the thread's counter block exists before counting
+  const Bytes payload(6000, 0x5A);  // + default headroom: the 8 KiB class
+  std::size_t before = g_allocs;
+  {
+    Packet p = Packet::with_headroom(kDefaultHeadroom, BytesView{payload});
+    CHECK(g_allocs == before + 1);
+    CHECK(p == payload);
+  }
+  before = g_allocs;
+  const auto hits = packet_counters().arena_hits;
+  {
+    Packet again = Packet::with_headroom(kDefaultHeadroom, BytesView{payload});
+    CHECK(packet_counters().arena_hits == hits + 1);
+    CHECK(again == payload);
+  }
+  CHECK(g_allocs == before);
+}
 
 static void prepend_pull_roundtrip() {
   Bytes payload = to_bytes("payload-bytes");
@@ -95,18 +134,24 @@ static void frontier_sharing_and_cow() {
   CHECK(frame == payload);
 }
 
-static void take_bytes_moves_when_exclusive() {
-  Bytes b = to_bytes("move-me");
-  Packet whole{Bytes(b)};
-  auto before = packet_counters();
-  Bytes out = std::move(whole).take_bytes();
-  CHECK(out == b);
-  CHECK(packet_counters().payload_copies == before.payload_copies);  // moved
-
+static void take_bytes_copies_the_view() {
+  Bytes b = to_bytes("copy-me");
   Packet offset = Packet::with_headroom(8, BytesView{b});
-  before = packet_counters();
-  Bytes out2 = std::move(offset).take_bytes();
-  CHECK(out2 == b);
+  auto before = packet_counters();
+  Bytes out = std::move(offset).take_bytes();
+  CHECK(out == b);
+  CHECK(packet_counters().payload_copies == before.payload_copies + 1);
+}
+
+// The convenience constructor copies into a buffer without headroom, and
+// the copy is counted like every other.
+static void bytes_constructor_copies() {
+  Bytes b = to_bytes("copied-in");
+  auto before = packet_counters();
+  Packet p{b};
+  CHECK(p == b);
+  CHECK(p.headroom() == 0);
+  CHECK(packet_counters().allocs == before.allocs + 1);
   CHECK(packet_counters().payload_copies == before.payload_copies + 1);
 }
 
@@ -184,10 +229,12 @@ static void stacked_efcp_one_copy_per_sdu() {
 }
 
 int main() {
+  one_allocation_per_buffer();
   prepend_pull_roundtrip();
   headroom_exhaustion_falls_back();
   frontier_sharing_and_cow();
-  take_bytes_moves_when_exclusive();
+  take_bytes_copies_the_view();
+  bytes_constructor_copies();
   empty_packet_prepend_allocates();
   pdu_encode_decode_in_place();
   stacked_efcp_one_copy_per_sdu();

@@ -95,7 +95,7 @@ static void link_serialization_rate() {
   sim::LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1 byte/us
   cfg.delay = SimTime::from_us(100);
-  sim::Link link(s, cfg, 1, "a", "b");
+  sim::Link link(s, cfg, 1);
   SimTime arrival{};
   link.b().set_receiver([&](Packet&&) { arrival = s.now(); });
   CHECK(link.a().send(Packet{Bytes(1000, 0)}));
@@ -110,7 +110,7 @@ static void link_serialization_rate() {
 static void link_down_loses_frames() {
   sim::Scheduler s;
   sim::LinkConfig cfg;
-  sim::Link link(s, cfg, 1, "a", "b");
+  sim::Link link(s, cfg, 1);
   int rx = 0;
   bool carrier_seen = true;
   link.b().set_receiver([&](Packet&&) { ++rx; });
@@ -131,7 +131,7 @@ static void link_queue_backpressure() {
   sim::LinkConfig cfg;
   cfg.rate_bps = 1e3;  // absurdly slow: everything queues
   cfg.queue_pkts = 2;
-  sim::Link link(s, cfg, 1, "a", "b");
+  sim::Link link(s, cfg, 1);
   CHECK(link.a().send(Packet{Bytes(10, 0)}));
   CHECK(link.a().send(Packet{Bytes(10, 0)}));
   CHECK(!link.a().send(Packet{Bytes(10, 0)}));  // FIFO full
@@ -152,8 +152,8 @@ static void link_tie_break_send_order() {
   fast.delay = SimTime{100};
   slow.rate_bps = 4e9;
   slow.delay = SimTime{100};
-  sim::Link l1(s, fast, 1, "a", "b");
-  sim::Link l2(s, slow, 2, "a", "b");
+  sim::Link l1(s, fast, 1);
+  sim::Link l2(s, slow, 2);
   std::vector<char> order;
   l1.b().set_receiver(
       [&](Packet&& p) { order.push_back(static_cast<char>(p.view()[0])); });
@@ -177,7 +177,7 @@ static void gilbert_elliott_loses() {
   ge.loss_good = 0.05;
   ge.loss_bad = 0.6;
   cfg.ge = ge;
-  sim::Link link(s, cfg, 7, "a", "b");
+  sim::Link link(s, cfg, 7);
   int rx = 0;
   link.b().set_receiver([&](Packet&&) { ++rx; });
   for (int i = 0; i < 500; ++i) {
@@ -194,7 +194,7 @@ static void lossless_link_constructs_without_allocating() {
   sim::LinkConfig cfg;
   const std::size_t before = g_alloc_bytes;
   {
-    sim::Link link(s, cfg, 1, "a", "b");
+    sim::Link link(s, cfg, 1);
     CHECK(g_alloc_bytes == before);
     CHECK(link.fifo_bytes() == 0);
   }
@@ -212,7 +212,7 @@ static void link_fifo_burst_wraps_and_drains() {
   sim::LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1 byte/us: a 100-byte frame takes 100 us
   cfg.delay = SimTime::from_us(100);
-  sim::Link link(s, cfg, 1, "a", "b");
+  sim::Link link(s, cfg, 1);
   std::vector<std::pair<std::int64_t, int>> log;  // (us, frame k or -post)
   link.b().set_receiver([&](Packet&& p) {
     log.emplace_back(s.now().ns / 1000, static_cast<int>(p.view()[0]));
@@ -267,7 +267,7 @@ static void cross_shard_delivery_never_allocates() {
   sim::ShardedScheduler ss(2, 1);
   sim::LinkConfig cfg;
   cfg.delay = SimTime::from_us(100);
-  sim::Link link(ss.shard(0), ss.shard(1), cfg, 1, "a", "b");
+  sim::Link link(ss.shard(0), ss.shard(1), cfg, 1);
   ss.note_cross_delay(cfg.delay);
   link.set_cross(0, &ss.add_boundary(0, 1, 64));
   link.set_cross(1, &ss.add_boundary(1, 0, 64));

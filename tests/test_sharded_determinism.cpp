@@ -35,7 +35,7 @@ std::string cross_link_digest(
   cfg.rate_bps = 1e9;
   cfg.delay = SimTime::from_ms(1);
   cfg.ge = ge;
-  sim::Link link(ss.shard(0), ss.shard(1), cfg, 42, "a", "b");
+  sim::Link link(ss.shard(0), ss.shard(1), cfg, 42);
   ss.note_cross_delay(cfg.delay);
   link.set_cross(0, &ss.add_boundary(0, 1, 64));
   link.set_cross(1, &ss.add_boundary(1, 0, 64));
@@ -81,7 +81,7 @@ std::string ring_full_drop_digest(int threads) {
   sim::LinkConfig cfg;
   cfg.rate_bps = 1e9;
   cfg.delay = SimTime::from_ms(1);
-  sim::Link link(ss.shard(0), ss.shard(1), cfg, 7, "a", "b");
+  sim::Link link(ss.shard(0), ss.shard(1), cfg, 7);
   ss.note_cross_delay(cfg.delay);
   link.set_cross(0, &ss.add_boundary(0, 1, 1));
   link.set_cross(1, &ss.add_boundary(1, 0, 1));
@@ -118,7 +118,7 @@ std::string ring_steady_state_digest(int threads) {
   sim::LinkConfig cfg;
   cfg.rate_bps = 1e9;
   cfg.delay = SimTime::from_ms(1);
-  sim::Link link(ss.shard(0), ss.shard(1), cfg, 11, "a", "b");
+  sim::Link link(ss.shard(0), ss.shard(1), cfg, 11);
   ss.note_cross_delay(cfg.delay);
   link.set_cross(0, &ss.add_boundary(0, 1, 1));
   link.set_cross(1, &ss.add_boundary(1, 0, 1));
@@ -249,7 +249,7 @@ void check_basics() {
   sim::LinkConfig cfg;
   cfg.rate_bps = 8e6;  // 1 byte/us
   cfg.delay = SimTime::from_ms(1);
-  sim::Link link(ss.shard(0), ss.shard(1), cfg, 3, "a", "b");
+  sim::Link link(ss.shard(0), ss.shard(1), cfg, 3);
   ss.note_cross_delay(cfg.delay);
   CHECK(ss.lookahead() == SimTime::from_ms(1));
   link.set_cross(0, &ss.add_boundary(0, 1, 8));
