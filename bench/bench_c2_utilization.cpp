@@ -225,7 +225,7 @@ Out run_baseline(double frac) {
     auto& cli = net.transport("h" + std::to_string(i));
     socks[static_cast<std::size_t>(i - 1)] =
         cli.connect(sink_addrs[static_cast<std::size_t>(i - 1)], 80, {},
-                    [&](Result<SockId> r) {
+                    [&](const Result<SockId>& r) {
                       if (r.ok()) ++connected;
                     });
   }

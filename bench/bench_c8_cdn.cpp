@@ -232,8 +232,8 @@ Out run_baseline() {
   CdnCache::Config cache_cfg;
   cache_cfg.origin = origin_addr;
   cache_cfg.capacity_objects = kCacheObjects;
-  CdnCache cache1(net.node("e1"), net.sched(), net.transport("e1"), cache_cfg);
-  CdnCache cache2(net.node("e2"), net.sched(), net.transport("e2"), cache_cfg);
+  CdnCache cache1(net.node("e1"), net.transport("e1"), cache_cfg);
+  CdnCache cache2(net.node("e2"), net.transport("e2"), cache_cfg);
 
   struct Client {
     SockId sock = 0;
@@ -248,7 +248,7 @@ Out run_baseline() {
     auto& ts = net.transport(client_name(i));
     Client& c = cl[static_cast<std::size_t>(i)];
     c.sock = ts.connect(box_addr[i < kClientsPerEdge ? 0 : 1],
-                        cache_cfg.listen_port, {}, [&](Result<SockId> r) {
+                        cache_cfg.listen_port, {}, [&](const Result<SockId>& r) {
                           if (r.ok()) ++connected;
                         });
     ts.set_on_data(c.sock, [&](SockId, Bytes&& msg) {

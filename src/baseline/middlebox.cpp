@@ -184,13 +184,8 @@ void MobileClient::attempt() {
 
 // ============================= CdnCache =============================
 
-CdnCache::CdnCache(BNode& node, sim::Scheduler& sched,
-                   TransportStack& transport, Config cfg)
-    : node_(node),
-      sched_(sched),
-      ts_(transport),
-      cfg_(cfg),
-      store_(cfg.capacity_objects, cfg.ttl) {
+CdnCache::CdnCache(BNode& node, TransportStack& transport, Config cfg)
+    : node_(node), ts_(transport), cfg_(cfg), store_(cfg.capacity_objects) {
   (void)ts_.listen(cfg_.listen_port, [this](SockId client) {
     ts_.set_on_data(client, [this](SockId s, Bytes&& msg) {
       on_client_interest(s, BytesView{msg});
@@ -206,7 +201,7 @@ void CdnCache::on_client_interest(SockId client, BytesView raw) {
   }
   const content::Message& msg = decoded.value();
   content::ObjectKey key{msg.name, msg.object_id};
-  if (const Bytes* obj = store_.lookup(key, sched_.now())) {
+  if (const Bytes* obj = store_.lookup(key)) {
     stats_.inc("cache_hits");
     Bytes reply = content::encode_data(msg.request_id, msg.name,
                                        msg.object_id, BytesView{*obj});
@@ -282,8 +277,7 @@ void CdnCache::on_origin_reply(BytesView raw) {
   Bytes reply;
   if (msg.type == content::MsgType::data) {
     stats_.inc("origin_responses");
-    store_.insert(content::ObjectKey{msg.name, msg.object_id}, msg.object,
-                  sched_.now());
+    store_.insert(content::ObjectKey{msg.name, msg.object_id}, msg.object);
     reply = content::encode_data(req.client_req, msg.name, msg.object_id,
                                  msg.object);
   } else {

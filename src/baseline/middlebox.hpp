@@ -81,11 +81,9 @@ class CdnCache {
     IpAddr origin = 0;
     std::uint16_t origin_port = 80;
     std::size_t capacity_objects = 1024;
-    SimTime ttl{};  // 0 = no expiry
   };
 
-  CdnCache(BNode& node, sim::Scheduler& sched, TransportStack& transport,
-           Config cfg);
+  CdnCache(BNode& node, TransportStack& transport, Config cfg);
 
   Stats& stats() { return stats_; }
   content::ContentStore& store() { return store_; }
@@ -98,7 +96,6 @@ class CdnCache {
   void on_origin_reply(BytesView msg);
 
   BNode& node_;
-  sim::Scheduler& sched_;
   TransportStack& ts_;
   Config cfg_;
   content::ContentStore store_;

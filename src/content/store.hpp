@@ -17,10 +17,9 @@
 // LFU-like behavior per workload, with no knob to mis-set — which is
 // what an RMT policy wants, since nobody hand-tunes a relay.
 //
-// Entries can carry a TTL (0 = immortal); expiry is lazy, detected at
-// lookup. All transitions are counted (cs_hits, cs_misses, cs_inserts,
-// cs_evictions, cs_ghost_hits, cs_ttl_expired) so DIF-wide counter sums
-// expose cache behavior to the benches.
+// All transitions are counted (cs_hits, cs_misses, cs_inserts,
+// cs_evictions, cs_ghost_hits) so DIF-wide counter sums expose cache
+// behavior to the benches.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,6 @@
 
 #include "common/bytes.hpp"
 #include "common/stats.hpp"
-#include "sim/time.hpp"
 
 namespace rina::content {
 
@@ -54,16 +52,13 @@ class ContentStore {
  public:
   /// `capacity` bounds the number of *live* objects (T1+T2); the ghost
   /// lists remember up to `capacity` more keys each, value-free.
-  /// `ttl.ns == 0` disables expiry.
-  explicit ContentStore(std::size_t capacity, SimTime ttl = SimTime{})
-      : capacity_(capacity), ttl_(ttl) {}
+  explicit ContentStore(std::size_t capacity) : capacity_(capacity) {}
 
   /// Look up an object. A hit returns a pointer valid until the next
   /// mutating call and promotes the entry to T2's MRU position (a second
-  /// touch is the frequency signal ARC feeds on). Expired entries are
-  /// removed on sight and count as misses. Ghost residency is a miss
-  /// too — ghosts hold no bytes; their moment comes at insert().
-  const Bytes* lookup(const ObjectKey& key, SimTime now) {
+  /// touch is the frequency signal ARC feeds on). Ghost residency is a
+  /// miss — ghosts hold no bytes; their moment comes at insert().
+  const Bytes* lookup(const ObjectKey& key) {
     auto it = index_.find(key);
     if (it == index_.end() || it->second.list == ListId::b1 ||
         it->second.list == ListId::b2) {
@@ -71,12 +66,6 @@ class ContentStore {
       return nullptr;
     }
     Rec& rec = it->second;
-    if (expired(rec, now)) {
-      stats_.inc("cs_ttl_expired");
-      stats_.inc("cs_misses");
-      erase(it);
-      return nullptr;
-    }
     move_to(key, rec, ListId::t2);
     stats_.inc("cs_hits");
     return &rec.value;
@@ -85,7 +74,7 @@ class ContentStore {
   /// Insert (or refresh) an object. New keys land in T1; keys remembered
   /// by a ghost list re-enter directly into T2 and adapt the target —
   /// this is the "we evicted something we wanted" learning step.
-  void insert(const ObjectKey& key, BytesView object, SimTime now) {
+  void insert(const ObjectKey& key, BytesView object) {
     if (capacity_ == 0) return;
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -93,9 +82,8 @@ class ContentStore {
       switch (rec.list) {
         case ListId::t1:
         case ListId::t2:
-          // Already live: refresh bytes and clock, treat as a touch.
+          // Already live: refresh the bytes, treat as a touch.
           rec.value = object.to_bytes();
-          rec.stored = now;
           move_to(key, rec, ListId::t2);
           return;
         case ListId::b1:
@@ -103,8 +91,8 @@ class ContentStore {
           target_ += std::max<std::size_t>(1, b2_.size() / std::max<std::size_t>(1, b1_.size()));
           if (target_ > capacity_) target_ = capacity_;
           stats_.inc("cs_ghost_hits");
-          if (live_full()) replace(false);
-          revive(it, object, now);
+          replace(false);
+          revive(it, object);
           return;
         case ListId::b2:
           // Frequency side evicted too eagerly: shrink T1's target.
@@ -114,8 +102,8 @@ class ContentStore {
             target_ = delta > target_ ? 0 : target_ - delta;
           }
           stats_.inc("cs_ghost_hits");
-          if (live_full()) replace(true);
-          revive(it, object, now);
+          replace(true);
+          revive(it, object);
           return;
       }
     }
@@ -125,20 +113,19 @@ class ContentStore {
     if (l1 == capacity_) {
       if (!b1_.empty()) {
         drop_ghost(b1_);
-        if (live_full()) replace(false);
+        replace(false);
       } else {
         evict_from(t1_, b1_, /*remember=*/false);  // T1 full, no ghosts yet
       }
     } else if (l1 + t2_.size() + b2_.size() >= capacity_) {
       if (l1 + t2_.size() + b2_.size() >= 2 * capacity_ && !b2_.empty())
         drop_ghost(b2_);
-      if (live_full()) replace(false);
+      replace(false);
     }
     auto [nit, inserted] = index_.emplace(key, Rec{});
     (void)inserted;
     Rec& rec = nit->second;
     rec.value = object.to_bytes();
-    rec.stored = now;
     rec.list = ListId::t1;
     t1_.push_front(key);
     rec.pos = t1_.begin();
@@ -171,19 +158,8 @@ class ContentStore {
   struct Rec {
     ListId list = ListId::t1;
     std::list<ObjectKey>::iterator pos;
-    Bytes value;     // empty while ghosted
-    SimTime stored;  // insert/refresh time, for TTL
+    Bytes value;  // empty while ghosted
   };
-
-  [[nodiscard]] bool expired(const Rec& rec, SimTime now) const {
-    return ttl_.ns != 0 && now - rec.stored > ttl_;
-  }
-
-  /// TTL expiry can leave the live set short of capacity; REPLACE (a
-  /// demotion into a ghost list) only makes sense when it is full.
-  [[nodiscard]] bool live_full() const {
-    return t1_.size() + t2_.size() >= capacity_;
-  }
 
   std::list<ObjectKey>& list_of(ListId id) {
     switch (id) {
@@ -203,7 +179,9 @@ class ContentStore {
   }
 
   /// ARC's REPLACE: make room for one live entry by demoting the LRU of
-  /// whichever live list exceeds its share into its ghost list.
+  /// whichever live list exceeds its share into its ghost list. Every
+  /// caller runs with the live set full: ghosts exist only once it has
+  /// filled, and after that only REPLACE takes an entry out of it.
   void replace(bool key_was_in_b2) {
     if (!t1_.empty() &&
         (t1_.size() > target_ || (key_was_in_b2 && t1_.size() == target_))) {
@@ -242,22 +220,14 @@ class ContentStore {
   }
 
   /// A ghost comes back to life in T2 with fresh bytes.
-  void revive(std::map<ObjectKey, Rec>::iterator it, BytesView object,
-              SimTime now) {
+  void revive(std::map<ObjectKey, Rec>::iterator it, BytesView object) {
     Rec& rec = it->second;
     rec.value = object.to_bytes();
-    rec.stored = now;
     move_to(it->first, rec, ListId::t2);
     stats_.inc("cs_inserts");
   }
 
-  void erase(std::map<ObjectKey, Rec>::iterator it) {
-    list_of(it->second.list).erase(it->second.pos);
-    index_.erase(it);
-  }
-
   std::size_t capacity_;
-  SimTime ttl_;
   std::size_t target_ = 0;  // ARC's p: T1's adaptive share of capacity
   std::list<ObjectKey> t1_, t2_, b1_, b2_;
   std::map<ObjectKey, Rec> index_;

@@ -47,8 +47,7 @@ class Dtcp {
   Dtcp(sim::Scheduler& sched, const EfcpPolicies& pol)
       : sched_(sched),
         pol_(pol),
-        rtt_(RttEstimator::Config{pol.initial_rto, pol.min_rto, pol.max_rto,
-                                  /*max_backoff=*/6}),
+        rtt_(RttEstimator::Config{pol.initial_rto, pol.min_rto, pol.max_rto}),
         cwnd_(pol.initial_cwnd),
         ssthresh_(static_cast<double>(pol.window)),
         tokens_(pol.bucket_pdus),

@@ -45,7 +45,7 @@ struct EfcpPolicies {
   // aimd_ecn: additive increase of one PDU per RTT, multiplicative
   // decrease on an echoed congestion mark (or on loss).
   double initial_cwnd = 16.0;
-  std::size_t min_cwnd = 2;
+  static constexpr std::size_t min_cwnd = 2;
   // rate_based: sustained rate and burst tolerance of the token bucket.
   double rate_pps = 50000.0;
   double bucket_pdus = 32.0;
@@ -59,7 +59,7 @@ struct EfcpPolicies {
   // (PDUs the flow itself keeps queued in the network). Grow below
   // vegas_alpha, back off above vegas_beta, hold in between.
   static constexpr double vegas_alpha = 2.0;
-  double vegas_beta = 4.0;
+  static constexpr double vegas_beta = 4.0;
 
   /// Mechanism profile by policy name: a DTP profile, or a DTCP
   /// discipline (set_tx_policy) on the default one. Unknown names are an

@@ -31,8 +31,8 @@ class RttEstimator {
     SimTime initial_rto = SimTime::from_ms(100);
     SimTime min_rto = SimTime::from_ms(20);
     SimTime max_rto = SimTime::from_sec(2);
-    int max_backoff = 6;  // cap on RTO doublings after repeated timeouts
   };
+  static constexpr int max_backoff = 6;  // cap on RTO doublings after repeated timeouts
 
   RttEstimator() : RttEstimator(Config{}) {}
   explicit RttEstimator(const Config& cfg) : cfg_(cfg), rto_(cfg.initial_rto) {}
@@ -64,7 +64,7 @@ class RttEstimator {
 
   /// A retransmission timer fired: back the RTO off one doubling.
   void on_timeout() {
-    if (backoff_ < cfg_.max_backoff) ++backoff_;
+    if (backoff_ < max_backoff) ++backoff_;
   }
 
   /// The cumulative ack edge advanced: fresh evidence the path delivers,

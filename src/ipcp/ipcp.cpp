@@ -284,7 +284,6 @@ bool Ipcp::port_up(relay::PortIndex idx) const {
 relay::PortIndex Ipcp::add_port(PortInit init) {
   Port p;
   p.tx = std::move(init.tx);
-  p.is_wire = init.is_wire;
   p.last_heard = sched().now();
   relay::EgressQueues::Config qc;
   qc.sched = cfg_.rmt_sched;
@@ -424,7 +423,7 @@ bool Ipcp::content_store_filter(efcp::Pdu& pdu) {
   content::ObjectKey key{msg.name, msg.object_id};
 
   if (msg.type == content::MsgType::interest) {
-    const Bytes* obj = cstore_->lookup(key, sched().now());
+    const Bytes* obj = cstore_->lookup(key);
     if (obj == nullptr) return false;  // miss: continue toward the origin
     // Answer from here wearing the origin's endpoint identity — the
     // interest's (src, dest) and CEP pair swapped, its sequence number
@@ -453,7 +452,7 @@ bool Ipcp::content_store_filter(efcp::Pdu& pdu) {
   // requester. Nacks are not cached (negative caching is a policy this
   // DIF does not run).
   if (msg.type == content::MsgType::data)
-    cstore_->insert(key, msg.object, sched().now());
+    cstore_->insert(key, msg.object);
   return false;
 }
 
@@ -924,8 +923,8 @@ void Ipcp::unpublish_app(const naming::AppName& app) { publish_dir_change(app, f
 
 bool Ipcp::apply_dir_record(const naming::AppName& app, std::optional<naming::Address> at,
                             naming::Directory::Stamp s) {
-  std::optional<naming::Address> old = dir_.lookup(app);
-  if (!dir_.apply(app, at, s)) return false;
+  std::optional<naming::Address> old;
+  if (!dir_.apply(app, at, s, &old)) return false;
   // Losing (or rebinding) an entry kills every cached copy of the old
   // binding: mine, and via an authority's interest list everyone who
   // resolved the name through me — mobility costs O(who actually asked),
@@ -966,7 +965,7 @@ void Ipcp::port_changed(relay::PortIndex idx) {
 std::vector<Bytes> Ipcp::sync_chunks(naming::Address peer) const {
   SyncPacker pk;
   if (!cfg_.dir_hierarchical) {
-    for (const auto& [app, stamp] : dir_.stamps()) pk.add_dir(app, stamp, dir_.lookup(app));
+    for (const auto& [app, rec] : dir_.entries()) pk.add_dir(app, rec.stamp, rec.at);
   }
   // The peer ignores its own record, and mine is re-originated for the
   // new adjacency anyway.
@@ -1232,9 +1231,8 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   // mark must go on before the encode below freezes the PCI.
   // A full class queue tail-drops before the encode is paid (full
   // implies non-empty, so the direct-tx fast path below is unreachable
-  // anyway); push() accounts the drop per class (EgressQueues::drops).
+  // anyway); rmt_drops counts every tail drop.
   if (p.queue.full(prio)) {
-    p.queue.note_drop(prio);
     stats_.inc("rmt_drops");
     return;
   }
@@ -1339,7 +1337,6 @@ void FlowAllocator::allocate(const naming::AppName& local,
   Pending pend;
   pend.local = local;
   pend.remote = remote;
-  pend.spec = spec;
   pend.cb = std::move(cb);
   pend.cube = *cube;
   pend.local_cep = fresh_cep();
@@ -1733,7 +1730,6 @@ void FlowAllocator::finish_close(FlowRec& rec) {
   remote_flow_index_.erase(key);
   by_cep_.erase(rec.local_cep);
   flows_[port].reset();  // rec dies here; its owned timers cancel with it
-  --flow_count_;
   self_.host_.release_port_id(port);
   // Fire the app hook after the record is gone, so a handler that
   // immediately allocates a new flow sees consistent allocator state.
@@ -1742,7 +1738,6 @@ void FlowAllocator::finish_close(FlowRec& rec) {
 
 void FlowAllocator::close_all(bool notify_peers) {
   std::vector<flow::PortId> ports;
-  ports.reserve(flow_count_);
   for (const auto& rec : flows_)
     if (rec) ports.push_back(rec->port);
   for (flow::PortId port : ports) {

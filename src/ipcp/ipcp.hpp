@@ -281,7 +281,6 @@ class FlowAllocator {
 
   struct Pending {
     naming::AppName local, remote;
-    flow::QosSpec spec;
     flow::AllocateCallback cb;
     flow::QosCube cube;
     efcp::CepId local_cep = 0;
@@ -306,7 +305,6 @@ class FlowAllocator {
     flow::PortId port = rec->port;
     if (flows_.size() <= port) flows_.resize(static_cast<std::size_t>(port) + 1);
     flows_[port] = std::move(rec);
-    ++flow_count_;
   }
   [[nodiscard]] const flow::QosCube* find_cube(const flow::QosSpec& spec) const;
   /// Resolve the pending request's name; resolved() takes the answer.
@@ -336,7 +334,6 @@ class FlowAllocator {
   // a map per PDU.
   std::vector<std::unique_ptr<FlowRec>> flows_;
   CepTable by_cep_;
-  std::size_t flow_count_ = 0;
   std::map<std::uint64_t, flow::PortId> remote_flow_index_;  // (peer, cep)
   std::map<std::uint32_t, Pending> pending_;
   std::uint32_t next_invoke_ = 1;
@@ -352,7 +349,6 @@ class Ipcp {
   [[nodiscard]] bool enrolled() const { return enrolled_; }
   [[nodiscard]] const dif::DifConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint32_t dif_id() const { return dif_id_; }
-  IpcpHost& host() { return host_; }
   sim::Scheduler& sched() { return host_.sched(); }
 
   Rmt& rmt() { return rmt_; }
@@ -378,7 +374,6 @@ class Ipcp {
     /// it queued until the attachment calls port_ready); true = consumed
     /// (sent or lost).
     std::function<bool(Packet&)> tx;
-    bool is_wire = false;
   };
   relay::PortIndex add_port(PortInit init);
   void start_port(relay::PortIndex idx);  // announce ourselves (Hello)
@@ -418,7 +413,6 @@ class Ipcp {
 
   struct Port {
     std::function<bool(Packet&)> tx;
-    bool is_wire = false;
     bool carrier = true;        // wire carrier / lower-flow liveness
     bool alive = true;          // keepalive verdict
     bool peer_enrolled = false; // valid Hello seen or join completed

@@ -22,32 +22,18 @@ namespace rina::naming {
 
 class DirCache {
  public:
-  struct Counters {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t expirations = 0;
-    std::uint64_t evictions = 0;
-  };
-
   DirCache() = default;
   DirCache(SimTime ttl, std::size_t capacity) : ttl_(ttl), capacity_(capacity) {}
 
-  /// Resolve `app` at sim time `now`. Expired entries count as misses
-  /// (and are erased); a hit refreshes nothing — TTL runs from insert.
+  /// Resolve `app` at sim time `now`. An expired entry is a miss and is
+  /// erased; a hit refreshes nothing — TTL runs from insert.
   std::optional<Address> lookup(const AppName& app, SimTime now) {
     auto it = entries_.find(app);
-    if (it == entries_.end()) {
-      ++counters_.misses;
-      return std::nullopt;
-    }
+    if (it == entries_.end()) return std::nullopt;
     if (now >= it->second.expires) {
       entries_.erase(it);
-      ++counters_.expirations;
-      ++counters_.misses;
       return std::nullopt;
     }
-    ++counters_.hits;
     return it->second.at;
   }
 
@@ -68,7 +54,6 @@ class DirCache {
     auto it = entries_.find(app);
     if (it == entries_.end() || it->second.at != at) return false;
     entries_.erase(it);
-    ++counters_.invalidations;
     return true;
   }
 
@@ -84,14 +69,12 @@ class DirCache {
         ++it;
       }
     }
-    counters_.invalidations += n;
     return n;
   }
 
   void clear() { entries_.clear(); }
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
 
  private:
   struct Entry {
@@ -104,13 +87,11 @@ class DirCache {
     for (auto it = std::next(victim); it != entries_.end(); ++it)
       if (it->second.expires < victim->second.expires) victim = it;
     entries_.erase(victim);
-    ++counters_.evictions;
   }
 
   SimTime ttl_ = SimTime::from_ms(2000);
   std::size_t capacity_ = 4096;
   std::map<AppName, Entry> entries_;
-  Counters counters_;
 };
 
 }  // namespace rina::naming

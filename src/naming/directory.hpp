@@ -5,23 +5,20 @@
 // the only place names meet addresses, and it lives entirely inside the
 // DIF: nothing here is visible to applications or to other DIFs.
 //
-// Entries stay in an ordered map (snapshots iterate it in a deterministic
-// order); an address-keyed reverse index makes departure cleanup —
-// remove_at(addr) on every member death/mobility event — cost
-// O(registrations at that address) instead of a full scan.
+// One record per name, in an ordered map (snapshots iterate it in a
+// deterministic order): the name's Stamp and its binding. A stamp is the
+// publisher's version, ties broken by the publisher's address. apply() is
+// the one way a binding or a removal gets in, and only when its stamp is
+// newer, so re-floods, stale resyncs and late updates never regress a
+// name, and a removal outlives the binding as a tombstone: a record with
+// a stamp and no binding.
 //
-// Every name also keeps one Stamp: the publisher's version, ties broken
-// by the publisher's address. apply() is the one way a binding or a
-// removal gets in, and only when its stamp is newer, so re-floods, stale
-// resyncs and late updates never regress a name, and a removal outlives
-// the binding as a version-only tombstone.
+// remove_at() scans the records: only a neighbor's Bye calls it, too
+// rarely to keep a second, address-keyed copy of every name.
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "naming/names.hpp"
 
@@ -38,74 +35,56 @@ class Directory {
     }
   };
 
+  struct Record {
+    Stamp stamp;
+    std::optional<Address> at;  // nullopt: a tombstone, or its member left
+    bool operator==(const Record& o) const {
+      return stamp.version == o.stamp.version && stamp.origin == o.stamp.origin &&
+             at == o.at;
+    }
+  };
+
   /// Versioned update: bind `app` to `at` (nullopt = remove) if `s` is
-  /// newer than the name's stamp. False = stale or duplicate, no change.
-  bool apply(const AppName& app, std::optional<Address> at, Stamp s) {
-    Stamp& cur = stamps_[app];
-    if (!s.newer_than(cur)) return false;
-    cur = s;
-    if (at) add(app, *at);
-    else remove(app);
+  /// newer than the name's stamp, and report in `*replaced` (if given)
+  /// the binding it overwrote. False = stale or duplicate, no change.
+  bool apply(const AppName& app, std::optional<Address> at, Stamp s,
+             std::optional<Address>* replaced = nullptr) {
+    Record& r = records_[app];
+    if (!s.newer_than(r.stamp)) return false;
+    if (replaced != nullptr) *replaced = r.at;
+    r = Record{s, at};
     return true;
   }
 
   [[nodiscard]] Stamp stamp_of(const AppName& app) const {
-    auto it = stamps_.find(app);
-    return it == stamps_.end() ? Stamp{} : it->second;
-  }
-
-  /// Every stamped name, tombstones included (lookup() tells which).
-  [[nodiscard]] const std::map<AppName, Stamp>& stamps() const { return stamps_; }
-
-  /// Drop every registration pointing at `at` (a departed member). The
-  /// names keep their stamps, so a resync of the same binding is stale.
-  void remove_at(Address at) {
-    auto rit = reverse_.find(at.key());
-    if (rit == reverse_.end()) return;
-    for (const AppName& app : rit->second) entries_.erase(app);
-    reverse_.erase(rit);
+    auto it = records_.find(app);
+    return it == records_.end() ? Stamp{} : it->second.stamp;
   }
 
   [[nodiscard]] std::optional<Address> lookup(const AppName& app) const {
-    auto it = entries_.find(app);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second;
+    auto it = records_.find(app);
+    return it == records_.end() ? std::nullopt : it->second.at;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const std::map<AppName, Address>& entries() const {
-    return entries_;
+  /// Unbind every name bound at `at` (a departed member). The records
+  /// keep their stamps, so a resync of the same binding is stale.
+  void remove_at(Address at) {
+    for (auto& [app, r] : records_)
+      if (r.at == at) r.at.reset();
   }
+
+  /// Bound names; tombstones and departed bindings do not count.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& [app, r] : records_) n += r.at.has_value() ? 1 : 0;
+    return n;
+  }
+
+  /// Every stamped name, tombstones included.
+  [[nodiscard]] const std::map<AppName, Record>& entries() const { return records_; }
 
  private:
-  void add(const AppName& app, Address at) {
-    auto [it, inserted] = entries_.emplace(app, at);
-    if (!inserted) {
-      if (it->second == at) return;
-      reverse_erase(it->second, app);
-      it->second = at;
-    }
-    reverse_[at.key()].push_back(app);
-  }
-
-  void remove(const AppName& app) {
-    auto it = entries_.find(app);
-    if (it == entries_.end()) return;
-    reverse_erase(it->second, app);
-    entries_.erase(it);
-  }
-
-  void reverse_erase(Address at, const AppName& app) {
-    auto rit = reverse_.find(at.key());
-    if (rit == reverse_.end()) return;
-    auto& v = rit->second;
-    v.erase(std::remove(v.begin(), v.end(), app), v.end());
-    if (v.empty()) reverse_.erase(rit);
-  }
-
-  std::map<AppName, Address> entries_;
-  std::map<AppName, Stamp> stamps_;
-  std::unordered_map<std::uint32_t, std::vector<AppName>> reverse_;
+  std::map<AppName, Record> records_;
 };
 
 }  // namespace rina::naming

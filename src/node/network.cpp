@@ -312,7 +312,6 @@ relay::PortIndex Network::wire_port(LinkRec& rec, int side, ipcp::Ipcp& proc) {
   auto* ep = &rec.link->ep(side);
   std::uint32_t dif_id = proc.dif_id();
   ipcp::Ipcp::PortInit init;
-  init.is_wire = true;
   init.tx = [ep, dif_id](Packet& frame) {
     // Tag the frame with the DIF id in its headroom. On backpressure the
     // link leaves the frame untouched; roll the tag back off (frontier
@@ -431,7 +430,6 @@ struct OverlayPort {
 OverlayPort add_overlay_port(ipcp::Ipcp* upper, ipcp::Ipcp* lower) {
   auto bound = std::make_shared<std::optional<flow::PortId>>();
   ipcp::Ipcp::PortInit init;
-  init.is_wire = false;
   init.tx = [lower, bound](Packet& frame) {
     if (!bound->has_value()) return true;  // dropped: no lower flow
     // The recursion's fast path: the upper DIF's frame enters the lower

@@ -72,33 +72,16 @@ class EgressQueues {
     return depth(prio) >= cfg_.capacity_pdus;
   }
 
-  /// Account a tail-drop of class `prio` (no per-drop allocation).
-  void note_drop(std::uint8_t prio) {
-    ++klass(cls(prio)).drops;
-    ++total_drops_;
-  }
-
   /// Queue a frame under class `prio`. False = that class's queue is
-  /// full and the frame was NOT consumed; the drop is accounted here
-  /// per class.
+  /// full and the frame was NOT consumed; the caller counts the drop.
   [[nodiscard]] bool push(std::uint8_t prio, Packet& frame) {
     ClassQ& k = klass(cls(prio));
-    if (k.q.size() >= cfg_.capacity_pdus) {
-      note_drop(prio);
-      return false;
-    }
+    if (k.q.size() >= cfg_.capacity_pdus) return false;
     k.q.push_back(EgressFrame{prio, std::move(frame)});
     ++total_;
     if (total_ > peak_) peak_ = total_;
     return true;
   }
-
-  /// Tail-drop accounting, per class and total.
-  [[nodiscard]] std::uint64_t drops(std::uint8_t prio) const {
-    const ClassQ* k = find(cls(prio));
-    return k == nullptr ? 0 : k->drops;
-  }
-  [[nodiscard]] std::uint64_t total_drops() const { return total_drops_; }
 
   [[nodiscard]] bool empty() const { return total_ == 0; }
   [[nodiscard]] std::size_t size() const { return total_; }
@@ -129,14 +112,13 @@ class EgressQueues {
   }
 
  private:
-  /// Per-class queue + drop counter. A DIF uses a handful of QoS classes
-  /// (one under fifo), so the class set is a small sorted vector scanned
-  /// linearly — cheaper than a map node walk on the per-PDU path, and
-  /// entries persist once created (stable drop counters, no churn).
+  /// One class's queue. A DIF uses a handful of QoS classes (one under
+  /// fifo), so the class set is a small sorted vector scanned linearly —
+  /// cheaper than a map node walk on the per-PDU path, and entries
+  /// persist once created (no churn).
   struct ClassQ {
     std::uint8_t cls = 0;
     std::deque<EgressFrame> q;
-    std::uint64_t drops = 0;
   };
 
   [[nodiscard]] std::uint8_t cls(std::uint8_t prio) const {
@@ -163,7 +145,6 @@ class EgressQueues {
   }
 
   std::vector<ClassQ> classes_;  // sorted by cls; most urgent first
-  std::uint64_t total_drops_ = 0;
   std::size_t total_ = 0;
   std::size_t peak_ = 0;
   Config cfg_;

@@ -1,6 +1,6 @@
 // test_content_store — ARC replacement mechanics: live/ghost list
-// transitions, adaptive target, capacity eviction order, TTL expiry and
-// counter accounting.
+// transitions, adaptive target, capacity eviction order and counter
+// accounting.
 #include "content/store.hpp"
 #include "test_util.hpp"
 
@@ -14,15 +14,14 @@ ObjectKey key(std::uint64_t id) { return ObjectKey{"app", id}; }
 Bytes obj(std::uint64_t id) {
   return Bytes(64, static_cast<std::uint8_t>(id & 0xFF));
 }
-SimTime at(double ms) { return SimTime::from_ms(ms); }
 
 void test_basic_hit_miss() {
   ContentStore cs(4);
-  CHECK(cs.lookup(key(1), at(0)) == nullptr);
+  CHECK(cs.lookup(key(1)) == nullptr);
   CHECK(cs.stats().get("cs_misses") == 1);
-  cs.insert(key(1), BytesView{obj(1)}, at(0));
+  cs.insert(key(1), BytesView{obj(1)});
   CHECK(cs.stats().get("cs_inserts") == 1);
-  const Bytes* v = cs.lookup(key(1), at(1));
+  const Bytes* v = cs.lookup(key(1));
   CHECK(v != nullptr && *v == obj(1));
   CHECK(cs.stats().get("cs_hits") == 1);
   // A touched entry moves to the frequency side.
@@ -33,7 +32,7 @@ void test_basic_hit_miss() {
 void test_capacity_eviction_order() {
   ContentStore cs(4);
   for (std::uint64_t i = 0; i < 5; ++i)
-    cs.insert(key(i), BytesView{obj(i)}, at(0));
+    cs.insert(key(i), BytesView{obj(i)});
   // One-shot inserts fill T1; the fifth pushes out the LRU (key 0).
   CHECK(cs.size() == 4);
   CHECK(!cs.contains_live(key(0)));
@@ -43,30 +42,30 @@ void test_capacity_eviction_order() {
 
 void test_ghost_promotion_and_target() {
   ContentStore cs(2);
-  cs.insert(key(10), BytesView{obj(10)}, at(0));
-  cs.insert(key(11), BytesView{obj(11)}, at(0));
-  CHECK(cs.lookup(key(10), at(1)) != nullptr);
-  CHECK(cs.lookup(key(11), at(1)) != nullptr);  // both now in T2
+  cs.insert(key(10), BytesView{obj(10)});
+  cs.insert(key(11), BytesView{obj(11)});
+  CHECK(cs.lookup(key(10)) != nullptr);
+  CHECK(cs.lookup(key(11)) != nullptr);  // both now in T2
   CHECK(cs.t2_size() == 2);
 
   // A new key demotes T2's LRU (key 10) into the B2 ghost list.
-  cs.insert(key(12), BytesView{obj(12)}, at(2));
+  cs.insert(key(12), BytesView{obj(12)});
   CHECK(!cs.contains_live(key(10)));
   CHECK(cs.b2_size() == 1);
 
   // Re-inserting the B2 ghost is a ghost hit: it revives straight into
   // T2 (not T1) with fresh bytes.
-  cs.insert(key(10), BytesView{obj(10)}, at(3));
+  cs.insert(key(10), BytesView{obj(10)});
   CHECK(cs.stats().get("cs_ghost_hits") == 1);
   CHECK(cs.contains_live(key(10)));
-  const Bytes* v = cs.lookup(key(10), at(4));
+  const Bytes* v = cs.lookup(key(10));
   CHECK(v != nullptr && *v == obj(10));
   CHECK(cs.b1_size() == 1);  // key 12 paid for the revival
 
   // A B1 ghost hit grows the recency target.
   std::size_t before = cs.target_t1();
-  cs.insert(key(13), BytesView{obj(13)}, at(5));  // demotes another entry
-  cs.insert(key(12), BytesView{obj(12)}, at(6));  // B1 ghost hit
+  cs.insert(key(13), BytesView{obj(13)});  // demotes another entry
+  cs.insert(key(12), BytesView{obj(12)});  // B1 ghost hit
   CHECK(cs.stats().get("cs_ghost_hits") == 2);
   CHECK(cs.target_t1() > before);
 }
@@ -77,11 +76,11 @@ void test_scan_resistance() {
   // the (still-zero) target.
   ContentStore cs(8);
   for (std::uint64_t i = 0; i < 4; ++i) {
-    cs.insert(key(i), BytesView{obj(i)}, at(0));
-    CHECK(cs.lookup(key(i), at(0)) != nullptr);  // promote to T2
+    cs.insert(key(i), BytesView{obj(i)});
+    CHECK(cs.lookup(key(i)) != nullptr);  // promote to T2
   }
   for (std::uint64_t s = 100; s < 200; ++s)  // scan of 100 one-shot keys
-    cs.insert(key(s), BytesView{obj(s)}, at(1));
+    cs.insert(key(s), BytesView{obj(s)});
   for (std::uint64_t i = 0; i < 4; ++i) CHECK(cs.contains_live(key(i)));
   CHECK(cs.size() == 8);  // live set stays at capacity through the scan
 }
@@ -91,47 +90,33 @@ void test_recency_adaptation() {
   // out of T1 hit in B1 and drag the target up — the opposite pull from
   // the scan test's frequency protection.
   ContentStore cs(4);
-  cs.insert(key(100), BytesView{obj(100)}, at(0));
-  CHECK(cs.lookup(key(100), at(0)) != nullptr);
-  cs.insert(key(101), BytesView{obj(101)}, at(0));
-  CHECK(cs.lookup(key(101), at(0)) != nullptr);  // T2 = {100, 101}
-  cs.insert(key(1), BytesView{obj(1)}, at(1));
-  cs.insert(key(2), BytesView{obj(2)}, at(1));
-  cs.insert(key(3), BytesView{obj(3)}, at(1));  // pushes key 1 into B1
+  cs.insert(key(100), BytesView{obj(100)});
+  CHECK(cs.lookup(key(100)) != nullptr);
+  cs.insert(key(101), BytesView{obj(101)});
+  CHECK(cs.lookup(key(101)) != nullptr);  // T2 = {100, 101}
+  cs.insert(key(1), BytesView{obj(1)});
+  cs.insert(key(2), BytesView{obj(2)});
+  cs.insert(key(3), BytesView{obj(3)});  // pushes key 1 into B1
   CHECK(cs.b1_size() == 1);
   CHECK(cs.target_t1() == 0);
-  cs.insert(key(1), BytesView{obj(1)}, at(2));  // B1 ghost hit
+  cs.insert(key(1), BytesView{obj(1)});  // B1 ghost hit
   CHECK(cs.target_t1() == 1);
-  cs.insert(key(2), BytesView{obj(2)}, at(2));  // key 2 paid for it: B1 again
+  cs.insert(key(2), BytesView{obj(2)});  // key 2 paid for it: B1 again
   CHECK(cs.target_t1() == 2);
   CHECK(cs.stats().get("cs_ghost_hits") == 2);
-}
-
-void test_ttl_expiry() {
-  ContentStore cs(4, SimTime::from_ms(100));
-  cs.insert(key(1), BytesView{obj(1)}, at(0));
-  CHECK(cs.lookup(key(1), at(50)) != nullptr);  // young: hit
-  CHECK(cs.lookup(key(1), at(151)) == nullptr);  // stale: expired miss
-  CHECK(cs.stats().get("cs_ttl_expired") == 1);
-  CHECK(!cs.contains_live(key(1)));
-  CHECK(cs.size() == 0);
-  // Refresh resets the clock.
-  cs.insert(key(2), BytesView{obj(2)}, at(0));
-  cs.insert(key(2), BytesView{obj(2)}, at(90));
-  CHECK(cs.lookup(key(2), at(150)) != nullptr);
 }
 
 void test_counter_accounting() {
   ContentStore cs(2);
   std::uint64_t lookups = 0;
   for (std::uint64_t i = 0; i < 6; ++i) {
-    cs.insert(key(i % 3), BytesView{obj(i)}, at(0));
+    cs.insert(key(i % 3), BytesView{obj(i)});
     ++lookups;
-    (void)cs.lookup(key(i % 4), at(0));
+    (void)cs.lookup(key(i % 4));
   }
   CHECK(cs.stats().get("cs_hits") + cs.stats().get("cs_misses") == lookups);
   // Every live entry was inserted; every departure from the live set
-  // was counted as an eviction (no TTL in play here).
+  // was counted as an eviction.
   CHECK(cs.stats().get("cs_inserts") >= cs.size());
 }
 
@@ -143,7 +128,6 @@ int main() {
   test_ghost_promotion_and_target();
   test_scan_resistance();
   test_recency_adaptation();
-  test_ttl_expiry();
   test_counter_accounting();
   return TEST_MAIN_RESULT();
 }

@@ -20,17 +20,16 @@ static void cache_ttl_and_misses() {
   DirCache c(SimTime::from_ms(100), 8);
   AppName a("a");
   CHECK(!c.lookup(a, SimTime::from_ms(0)).has_value());
-  CHECK(c.counters().misses == 1);
+  CHECK(c.size() == 0);
 
   c.insert(a, Address{1, 5}, SimTime::from_ms(0));
+  CHECK(c.size() == 1);
   CHECK(c.lookup(a, SimTime::from_ms(99)).value() == (Address{1, 5}));
-  CHECK(c.counters().hits == 1);
+  CHECK(c.size() == 1);  // a hit keeps the entry
 
-  // TTL runs from insert: at exactly ttl the entry is dead and the
-  // lookup counts as an expiration *and* a miss.
+  // TTL runs from insert: at exactly ttl the entry is dead, the lookup
+  // misses, and the expired entry is erased.
   CHECK(!c.lookup(a, SimTime::from_ms(100)).has_value());
-  CHECK(c.counters().expirations == 1);
-  CHECK(c.counters().misses == 2);
   CHECK(c.size() == 0);
 
   // Re-insert refreshes the clock.
@@ -44,7 +43,7 @@ static void cache_capacity_evicts_soonest_expiry() {
   c.insert(AppName("a"), Address{1, 1}, SimTime::from_ms(0));
   c.insert(AppName("b"), Address{1, 2}, SimTime::from_ms(50));
   c.insert(AppName("x"), Address{1, 3}, SimTime::from_ms(60));  // evicts a
-  CHECK(c.counters().evictions == 1);
+  CHECK(c.size() == 2);
   CHECK(!c.lookup(AppName("a"), SimTime::from_ms(60)).has_value());
   CHECK(c.lookup(AppName("b"), SimTime::from_ms(60)).has_value());
   CHECK(c.lookup(AppName("x"), SimTime::from_ms(60)).has_value());
@@ -64,8 +63,10 @@ static void cache_invalidation() {
 
   // Departure of an address drops everything it served.
   CHECK(c.invalidate_at(Address{1, 1}) == 1);  // only b remains at 1.1
+  CHECK(!c.lookup(AppName("b"), SimTime::from_ms(1)).has_value());
   CHECK(c.lookup(AppName("d"), SimTime::from_ms(1)).has_value());
-  CHECK(c.counters().invalidations == 2);
+  CHECK(c.size() == 1);
+  CHECK(c.invalidate_at(Address{1, 1}) == 0);  // nothing left at 1.1
 }
 
 namespace {

@@ -1,7 +1,8 @@
 // test_fib — Dijkstra with equal-cost sets, two-step forwarding lookups
 // (late PoA binding, round-robin), region aggregation, the directory and
-// its version stamps, the packed LSDB against a map, the unit-cost SPF
-// kernel over it against Dijkstra, packed whole and grown record by
+// its version stamps against a two-map reference (one allocation per new
+// name, none per rebind), the packed LSDB against a map, the unit-cost
+// SPF kernel over it against Dijkstra, packed whole and grown record by
 // record, and the FIB's route replace, which with the kernel and an
 // in-slot LSDB rewrite allocates nothing once warm.
 #include "naming/directory.hpp"
@@ -160,9 +161,163 @@ static void directory() {
   CHECK(dir.apply(app, std::nullopt, Stamp{2, x}));
   CHECK(!dir.lookup(app).has_value());
   CHECK(!dir.apply(app, x, Stamp{1, x}));  // the tombstone holds
-  CHECK(dir.stamp_of(app).version == 2 && dir.stamps().size() == 1);
+  CHECK(dir.stamp_of(app).version == 2 && dir.entries().size() == 1);
   CHECK(dir.apply(app, b, Stamp{3, b}));
   CHECK(dir.lookup(app).value() == b);
+}
+
+namespace {
+
+std::uint64_t g_rng = 0x0DDC0FFEEull;
+std::uint64_t rnd(std::uint64_t n, std::uint64_t& state = g_rng) {
+  state ^= state << 13;
+  state ^= state >> 7;
+  state ^= state << 17;
+  return state % n;
+}
+
+// The directory kept as separate binding and stamp maps. remove_at()
+// erases bindings and keeps stamps, and a stale apply() still leaves a
+// default stamp behind.
+struct RefDirectory {
+  using Stamp = naming::Directory::Stamp;
+  std::map<naming::AppName, Address> bound;
+  std::map<naming::AppName, Stamp> stamps;
+
+  bool apply(const naming::AppName& app, std::optional<Address> at, Stamp s) {
+    Stamp& cur = stamps[app];
+    if (!s.newer_than(cur)) return false;
+    cur = s;
+    if (at) bound[app] = *at;
+    else bound.erase(app);
+    return true;
+  }
+  void remove_at(Address at) {
+    for (auto it = bound.begin(); it != bound.end();)
+      it = it->second == at ? bound.erase(it) : std::next(it);
+  }
+  [[nodiscard]] std::optional<Address> lookup(const naming::AppName& app) const {
+    auto it = bound.find(app);
+    return it == bound.end() ? std::optional<Address>{} : it->second;
+  }
+  [[nodiscard]] Stamp stamp_of(const naming::AppName& app) const {
+    auto it = stamps.find(app);
+    return it == stamps.end() ? Stamp{} : it->second;
+  }
+};
+
+bool same_stamp(naming::Directory::Stamp a, naming::Directory::Stamp b) {
+  return a.version == b.version && a.origin == b.origin;
+}
+
+}  // namespace
+
+// Seeded applies and departures against the reference, compared after
+// every operation: lookup, stamp_of, size() and entries(), in order.
+static void directory_matches_reference() {
+  using Stamp = naming::Directory::Stamp;
+  std::uint64_t rng = 0xD12EC7022ull;
+  std::vector<naming::AppName> names;
+  for (int i = 0; i < 16; ++i) names.emplace_back("svc" + std::to_string(i), "1");
+  // Only stale, never-published stamps reach this name.
+  names.emplace_back("idle");
+  const std::vector<Address> addrs = {Address{1, 1}, Address{1, 2}, Address{1, 3},
+                                      Address{2, 1}, Address{2, 2}, Address{3, 7}};
+  naming::Directory dir;
+  RefDirectory ref;
+  auto same = [&] {
+    for (const naming::AppName& app : names)
+      if (dir.lookup(app) != ref.lookup(app)) return false;
+    for (const naming::AppName& app : names)
+      if (!same_stamp(dir.stamp_of(app), ref.stamp_of(app))) return false;
+    if (dir.size() != ref.bound.size()) return false;
+    if (dir.entries().size() != ref.stamps.size()) return false;
+    auto want = ref.stamps.begin();
+    for (const auto& [app, rec] : dir.entries()) {
+      if (app != want->first || !same_stamp(rec.stamp, want->second)) return false;
+      if (rec.at != ref.lookup(app)) return false;
+      ++want;
+    }
+    return true;
+  };
+  // Names whose binding a departure removed, and that no apply with a
+  // published stamp has reached since.
+  std::set<std::size_t> departed;
+  int reflood = 0, tie_won = 0, tombstone = 0, default_left = 0;
+  int stale_after_bye = 0, newer_after_bye = 0;
+  for (std::uint64_t step = 0; step < 4000; ++step) {
+    const std::uint64_t op = rnd(8, rng);
+    if (op == 0) {
+      const Address gone = addrs[rnd(addrs.size(), rng)];
+      for (std::size_t i = 0; i + 1 < names.size(); ++i)
+        if (ref.lookup(names[i]) == gone) departed.insert(i);
+      dir.remove_at(gone);
+      ref.remove_at(gone);
+      CHECK(same());
+      continue;
+    }
+    Stamp s;
+    std::size_t i = rnd(names.size() - 1, rng);
+    if (op == 1) {
+      i = rnd(names.size(), rng);  // a never-published stamp always loses
+    } else {
+      // Versions climb slowly, so equal versions and re-floods are common.
+      s = Stamp{step / 64 + rnd(3, rng), addrs[rnd(addrs.size(), rng)]};
+    }
+    std::optional<Address> at;
+    if (rnd(4, rng) != 0) at = addrs[rnd(addrs.size(), rng)];
+    const naming::AppName& app = names[i];
+    const Stamp cur = ref.stamp_of(app);
+    const bool known = ref.stamps.count(app) != 0;
+    const std::optional<Address> before = ref.lookup(app);
+    const bool news = ref.apply(app, at, s);
+    const Address sentinel{9, 9};
+    std::optional<Address> replaced = sentinel;
+    CHECK(dir.apply(app, at, s, &replaced) == news);
+    // apply() reports the binding it replaced, and only when it wins.
+    CHECK(replaced == (news ? before : std::optional<Address>{sentinel}));
+    CHECK(same());
+    if (!news && same_stamp(s, cur) && s.version != 0) ++reflood;
+    if (news && s.version == cur.version) ++tie_won;
+    if (news && !at) ++tombstone;
+    if (!news && !known) ++default_left;
+    if (s.version != 0 && departed.erase(i) != 0) {
+      if (news) ++newer_after_bye;
+      else ++stale_after_bye;
+    }
+  }
+  CHECK(reflood > 0);
+  CHECK(tie_won > 0);
+  CHECK(tombstone > 0);
+  CHECK(default_left > 0);
+  CHECK(stale_after_bye > 0);
+  CHECK(newer_after_bye > 0);
+}
+
+// One record per name: a new short name (inside std::string's inline
+// buffer) costs its map node and nothing else; a rebind, a removal and
+// a departed member's cleanup cost nothing.
+static void directory_allocations() {
+  using Stamp = naming::Directory::Stamp;
+  std::vector<naming::AppName> names;
+  for (int i = 0; i < 24; ++i) names.emplace_back("svc" + std::to_string(i), "1");
+  const Address a{1, 2}, b{1, 3};
+  naming::Directory dir;
+  for (const naming::AppName& app : names) {
+    const std::size_t before = g_allocs;
+    CHECK(dir.apply(app, a, Stamp{1, a}));
+    CHECK(g_allocs == before + 1);
+  }
+  const std::size_t before = g_allocs;
+  std::optional<Address> old;
+  for (const naming::AppName& app : names) CHECK(dir.apply(app, b, Stamp{2, b}, &old));
+  CHECK(g_allocs == before);  // rebinds
+  for (const naming::AppName& app : names) CHECK(dir.apply(app, std::nullopt, Stamp{3, b}));
+  CHECK(g_allocs == before);  // removals
+  for (const naming::AppName& app : names) CHECK(dir.apply(app, a, Stamp{4, a}));
+  dir.remove_at(a);
+  CHECK(g_allocs == before);  // rebinds, then a departure
+  CHECK(dir.size() == 0 && dir.entries().size() == names.size());
 }
 
 // --- unit-cost SPF kernel and the in-place FIB replace ---
@@ -174,14 +329,6 @@ struct LsuRecord {
   std::vector<Address> neighbors;
 };
 using Lsdb = std::map<Address, LsuRecord>;
-
-std::uint64_t g_rng = 0x0DDC0FFEEull;
-std::uint64_t rnd(std::uint64_t n, std::uint64_t& state = g_rng) {
-  state ^= state << 13;
-  state ^= state >> 7;
-  state ^= state << 17;
-  return state % n;
-}
 
 // What Ipcp::run_spf built before the kernel: the source's live links,
 // then every other origin's record; the source's own record is ignored.
@@ -509,6 +656,8 @@ int main() {
   round_robin_poa();
   region_aggregation();
   directory();
+  directory_matches_reference();
+  directory_allocations();
   unit_spf_oracle();
   lsdb_matches_map();
   fib_replace_reads_back();
