@@ -232,8 +232,8 @@ Out run_baseline() {
   CdnCache::Config cache_cfg;
   cache_cfg.origin = origin_addr;
   cache_cfg.capacity_objects = kCacheObjects;
-  CdnCache cache1(net.node("e1"), net.transport("e1"), cache_cfg);
-  CdnCache cache2(net.node("e2"), net.transport("e2"), cache_cfg);
+  CdnCache cache1(net.transport("e1"), cache_cfg);
+  CdnCache cache2(net.transport("e2"), cache_cfg);
 
   struct Client {
     SockId sock = 0;

@@ -256,15 +256,13 @@ static void BM_Dijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_Dijkstra)->Arg(16)->Arg(64)->Arg(256);
 
-static void BM_UnitSpf(benchmark::State& state) {
-  // A ring of stars as a link-state database, routed the way Ipcp::run_spf
-  // routes it: the source's live links plus every other record through the
-  // unit-cost kernel, then the in-place FIB replace. Each region is an
-  // anchor and per - 1 spokes, the anchors in a ring: per = 4 is
-  // BM_Dijkstra's graph, 12 x 20 is control_churn's 240-member DIF and
-  // 12 x 84 is c9's 1008-member one.
-  auto n = static_cast<std::uint16_t>(state.range(0));
-  auto per = static_cast<std::uint16_t>(state.range(1));
+// A ring of stars as link-state records: each region is an anchor and
+// per - 1 spokes, the anchors in a ring. per = 4 is BM_Dijkstra's graph,
+// 12 x 20 is control_churn's 240-member DIF and 12 x 84 is c9's
+// 1008-member one. With `flapped`, the ring link between the anchors of
+// regions n/2 and n/2 + 1 is down.
+static std::map<naming::Address, std::vector<naming::Address>> ring_of_stars(
+    std::uint16_t n, std::uint16_t per, bool flapped = false) {
   std::map<naming::Address, std::vector<naming::Address>> adj;
   auto link = [&](naming::Address a, naming::Address b) {
     adj[a].push_back(b);
@@ -272,22 +270,44 @@ static void BM_UnitSpf(benchmark::State& state) {
   };
   for (std::uint16_t r = 0; r < n; ++r) {
     naming::Address border{static_cast<std::uint16_t>(r + 1), 1};
-    link(border, naming::Address{static_cast<std::uint16_t>((r + 1) % n + 1), 1});
+    if (!flapped || r != n / 2)
+      link(border, naming::Address{static_cast<std::uint16_t>((r + 1) % n + 1), 1});
     for (std::uint16_t s = 2; s <= per; ++s)
       link(border, naming::Address{static_cast<std::uint16_t>(r + 1), s});
   }
+  return adj;
+}
+
+static routing::Lsdb packed(const std::map<naming::Address, std::vector<naming::Address>>& adj) {
   routing::Lsdb lsdb;
   for (const auto& [origin, neighbors] : adj) lsdb.put(origin, 1, neighbors);
+  return lsdb;
+}
+
+static void BM_UnitSpf(benchmark::State& state) {
+  // One solve as Ipcp::run_spf does it: the source's live links plus every
+  // other record through the unit-cost kernel, then the in-place FIB
+  // replace. The solves alternate between the ring whole and the ring with
+  // one link flapped, so each one builds its graph: the cost the first
+  // member to solve new records pays.
+  auto n = static_cast<std::uint16_t>(state.range(0));
+  auto per = static_cast<std::uint16_t>(state.range(1));
+  const auto adj = ring_of_stars(n, per);
+  const routing::Lsdb lsdbs[2] = {packed(adj), packed(ring_of_stars(n, per, true))};
   naming::Address src{1, 1};
-  const std::vector<naming::Address> live = adj[src];
+  const std::vector<naming::Address> live = adj.at(src);
   routing::UnitSpf& spf = routing::UnitSpf::scratch();
   relay::ForwardingTable fib;
+  const std::uint64_t builds = spf.builds();
+  std::size_t i = 0;
   for (auto _ : state) {
     for (naming::Address nb : live) spf.add_link(nb);
-    fib.replace_routes(spf.solve(src, lsdb));
+    fib.replace_routes(spf.solve(src, lsdbs[i++ & 1]));
     benchmark::DoNotOptimize(fib.entry_count());
   }
-  state.SetLabel(std::to_string(lsdb.size()) + " nodes");
+  state.counters["builds/solve"] =
+      static_cast<double>(spf.builds() - builds) / static_cast<double>(i);
+  state.SetLabel(std::to_string(lsdbs[0].size()) + " nodes");
 }
 BENCHMARK(BM_UnitSpf)
     ->ArgNames({"regions", "per"})
@@ -296,6 +316,36 @@ BENCHMARK(BM_UnitSpf)
     ->Args({256, 4})
     ->Args({12, 20})
     ->Args({12, 84});
+
+static void BM_UnitSpfReplicas(benchmark::State& state) {
+  // Every member solves its own replica of the same records in turn, as a
+  // flat DIF does after a change has flooded. Each replica is a separate
+  // LSDB, so only by comparing records can the kernel tell that it already
+  // holds their graph. One iteration is one member's solve.
+  auto n = static_cast<std::uint16_t>(state.range(0));
+  auto per = static_cast<std::uint16_t>(state.range(1));
+  const auto adj = ring_of_stars(n, per);
+  std::vector<naming::Address> members;
+  std::vector<routing::Lsdb> replicas;
+  for (const auto& [origin, neighbors] : adj) {
+    members.push_back(origin);
+    replicas.push_back(packed(adj));
+  }
+  routing::UnitSpf& spf = routing::UnitSpf::scratch();
+  relay::ForwardingTable fib;
+  const std::uint64_t builds = spf.builds();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t m = i++ % members.size();
+    for (naming::Address nb : adj.at(members[m])) spf.add_link(nb);
+    fib.replace_routes(spf.solve(members[m], replicas[m]));
+    benchmark::DoNotOptimize(fib.entry_count());
+  }
+  state.counters["builds/solve"] =
+      static_cast<double>(spf.builds() - builds) / static_cast<double>(i);
+  state.SetLabel(std::to_string(members.size()) + " nodes");
+}
+BENCHMARK(BM_UnitSpfReplicas)->ArgNames({"regions", "per"})->Args({12, 20})->Args({12, 84});
 
 static void BM_TwoStepLookup(benchmark::State& state) {
   struct Route {

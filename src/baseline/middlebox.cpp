@@ -184,8 +184,8 @@ void MobileClient::attempt() {
 
 // ============================= CdnCache =============================
 
-CdnCache::CdnCache(BNode& node, TransportStack& transport, Config cfg)
-    : node_(node), ts_(transport), cfg_(cfg), store_(cfg.capacity_objects) {
+CdnCache::CdnCache(TransportStack& transport, Config cfg)
+    : ts_(transport), cfg_(cfg), store_(cfg.capacity_objects) {
   (void)ts_.listen(cfg_.listen_port, [this](SockId client) {
     ts_.set_on_data(client, [this](SockId s, Bytes&& msg) {
       on_client_interest(s, BytesView{msg});

@@ -83,7 +83,7 @@ class CdnCache {
     std::size_t capacity_objects = 1024;
   };
 
-  CdnCache(BNode& node, TransportStack& transport, Config cfg);
+  CdnCache(TransportStack& transport, Config cfg);
 
   Stats& stats() { return stats_; }
   content::ContentStore& store() { return store_; }
@@ -95,7 +95,6 @@ class CdnCache {
   void ensure_origin();
   void on_origin_reply(BytesView msg);
 
-  BNode& node_;
   TransportStack& ts_;
   Config cfg_;
   content::ContentStore store_;

@@ -1246,10 +1246,9 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   if (p.queue.empty()) {
     if (p.tx(frame)) return;
   }
-  if (!p.queue.push(prio, frame)) {
-    stats_.inc("rmt_drops");
-    return;
-  }
+  // Cannot be refused: the queue was not full above, and nothing since
+  // has filled it.
+  (void)p.queue.push(prio, frame);
   if (std::uint64_t pk = p.queue.peak(); pk > *c_rmt_queue_peak_)
     *c_rmt_queue_peak_ = pk;
   // The frame waits for port_ready: the attachment that refused it says

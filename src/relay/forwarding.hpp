@@ -181,14 +181,21 @@ class ForwardingTable {
   /// Replace every route with `routes` — items with a `dest` and an
   /// iterable `hops`, dests strictly ascending. The destination array and
   /// the hop pool keep their capacity, so once they are warm a replace
-  /// allocates nothing.
+  /// allocates nothing. Both are sized first and written field by field:
+  /// no Dest is built whole and copied.
   template <typename Routes>
   void replace_routes(const Routes& routes) {
-    dests_.clear();
-    hops_.clear();
+    std::size_t total = 0;
+    for (const auto& r : routes) total += r.hops.size();
+    dests_.resize(routes.size());
+    hops_.resize(total);
+    Dest* d = dests_.data();
+    std::uint32_t off = 0;
     for (const auto& r : routes) {
-      dests_.push_back(Dest{r.dest, static_cast<std::uint32_t>(hops_.size())});
-      hops_.insert(hops_.end(), r.hops.begin(), r.hops.end());
+      d->dest = r.dest;
+      d->off = off;
+      ++d;
+      for (const naming::Address& h : r.hops) hops_[off++] = h;
     }
     memo_hops_ = Hops{};
     memo_ports_ = nullptr;

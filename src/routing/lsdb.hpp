@@ -47,6 +47,18 @@ class Lsdb {
   /// total length of the records' slots.
   [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
 
+  /// Record i as stored: its origin's key and its neighbors, for a loop
+  /// over every record that reads no seq and builds no Entry.
+  struct Raw {
+    std::uint32_t origin;  // Address::key()
+    naming::AddressSpan neighbors;
+  };
+  [[nodiscard]] Raw raw(std::size_t i) const {
+    const Record& r = recs_[i];
+    const naming::Address* p = pool_.data() + r.off;
+    return Raw{r.origin, {p, p + r.count}};
+  }
+
   [[nodiscard]] std::optional<Entry> find(naming::Address origin) const {
     const std::size_t i = index_of(origin.key());
     if (i == recs_.size() || recs_[i].origin != origin.key()) return std::nullopt;

@@ -2,9 +2,10 @@
 // (late PoA binding, round-robin), region aggregation, the directory and
 // its version stamps against a two-map reference (one allocation per new
 // name, none per rebind), the packed LSDB against a map, the unit-cost
-// SPF kernel over it against Dijkstra, packed whole and grown record by
-// record, and the FIB's route replace, which with the kernel and an
-// in-slot LSDB rewrite allocates nothing once warm.
+// SPF kernel over it against Dijkstra, packed whole and solved from every
+// member, grown record by record, the kernel's reuse of its graph, and the
+// FIB's route replace, which with the kernel and an in-slot LSDB rewrite
+// allocates nothing once warm.
 #include "naming/directory.hpp"
 #include "relay/forwarding.hpp"
 #include "routing/graph.hpp"
@@ -414,6 +415,32 @@ void check_growing(Address src, const std::vector<Address>& live, const Lsdb& ls
   }
 }
 
+// Solves one packed trial from every address it names, records or not, in
+// turn, each with live links of its own from a separate stream: its
+// record's, less one, plus another address, repeated. The solve before
+// this one was over the same records, so none of these builds a graph.
+void check_every_member(const Lsdb& lsdb) {
+  static std::uint64_t live_rng = 0x11FE5EEDull;
+  std::set<Address> named;
+  for (const auto& [origin, rec] : lsdb) {
+    named.insert(origin);
+    named.insert(rec.neighbors.begin(), rec.neighbors.end());
+  }
+  const std::vector<Address> members(named.begin(), named.end());
+  const routing::Lsdb db = packed(lsdb);
+  const std::uint64_t builds = routing::UnitSpf::scratch().builds();
+  for (Address m : members) {
+    std::vector<Address> live;
+    if (auto it = lsdb.find(m); it != lsdb.end()) live = it->second.neighbors;
+    if (!live.empty() && rnd(2, live_rng) == 0)
+      live.erase(live.begin() + static_cast<long>(rnd(live.size(), live_rng)));
+    live.push_back(members[rnd(members.size(), live_rng)]);
+    live.push_back(live.front());
+    CHECK(same_routes(unit_spf_over(m, live, db), dijkstra_over(m, live, lsdb)));
+  }
+  CHECK(routing::UnitSpf::scratch().builds() == builds);
+}
+
 }  // namespace
 
 // Differential oracle: seeded random LSDBs shaped like c9's (regions of an
@@ -423,7 +450,8 @@ void check_growing(Address src, const std::vector<Address>& live, const Lsdb& ls
 // island no path reaches, and a stale record of the source — routed by
 // Graph::dijkstra over the map and by the kernel over the map packed into
 // a routing::Lsdb, so the trials check the store and the kernel together.
-// Each trial is then grown record by record (check_growing), so solves
+// Each trial is then solved from every address it names (check_every_member),
+// reusing one graph, and grown record by record (check_growing), so solves
 // also see a source with no record, record-less addresses that sort
 // between records, and origins arriving on either side of the source.
 static void unit_spf_oracle() {
@@ -473,6 +501,7 @@ static void unit_spf_oracle() {
     CHECK(same_routes(unit_spf_over(src, live, packed(lsdb)), full));
     if (any_unsorted_hops(full)) ++unsorted;
     CHECK(full.entries.count(Address{91, 1}) == 0);
+    check_every_member(lsdb);
     check_growing(src, live, lsdb, reached);
   }
   // The trials include hop vectors that are not in address order, so the
@@ -498,6 +527,87 @@ static void unit_spf_oracle() {
   const routing::SpfResult full = dijkstra_over(src, live, lsdb);
   CHECK(full.entries.at(tail).next_hops.size() == 70);
   CHECK(same_routes(unit_spf_over(src, live, packed(lsdb)), full));
+}
+
+// The kernel builds a graph only for records it does not hold: it compares
+// origins, neighbor counts and neighbor addresses, and neither seqs nor
+// the pool's layout.
+static void unit_spf_reuses_graph() {
+  // Six regions of an anchor and four spokes, the anchors in a ring, and
+  // a neighbor of anchor 3 whose LSU has not arrived.
+  Lsdb lsdb;
+  auto link = [&](Address a, Address b) {
+    lsdb[a].neighbors.push_back(b);
+    lsdb[b].neighbors.push_back(a);
+  };
+  for (std::uint16_t r = 1; r <= 6; ++r) {
+    link(Address{r, 1}, Address{static_cast<std::uint16_t>(r % 6 + 1), 1});
+    for (std::uint16_t m = 2; m <= 5; ++m) link(Address{r, 1}, Address{r, m});
+  }
+  lsdb[Address{3, 1}].neighbors.push_back(Address{3, 9});
+  routing::UnitSpf& spf = routing::UnitSpf::scratch();
+  auto solve_from_every_origin = [&](const routing::Lsdb& db, const Lsdb& ref) {
+    for (const auto& [m, rec] : ref)
+      CHECK(same_routes(unit_spf_over(m, rec.neighbors, db), dijkstra_over(m, rec.neighbors, ref)));
+  };
+
+  // 1. One LSDB solved from every member builds once.
+  const routing::Lsdb db = packed(lsdb);
+  std::uint64_t builds = spf.builds();
+  solve_from_every_origin(db, lsdb);
+  CHECK(spf.builds() == builds + 1);
+
+  // 2. A second LSDB reaches the same records with other seqs and another
+  // pool layout: each list is put short, grown past its slot three times
+  // (the abandoned slots compact the pool), emptied, regrown inside its
+  // slot, and finally put as it is.
+  routing::Lsdb other;
+  std::uint64_t seq = 10;
+  int compactions = 0;
+  auto put = [&](Address origin, const std::vector<Address>& list) {
+    const std::size_t before = other.pool_size();
+    other.put(origin, ++seq, list);
+    if (other.pool_size() < before) ++compactions;
+  };
+  for (auto it = lsdb.rbegin(); it != lsdb.rend(); ++it)
+    put(it->first, {it->second.neighbors.front()});
+  for (std::uint16_t extra = 2; extra <= 4; ++extra) {
+    for (const auto& [origin, rec] : lsdb) {
+      std::vector<Address> grown = rec.neighbors;
+      for (std::uint16_t k = 1; k <= extra; ++k) grown.push_back(Address{8, k});
+      put(origin, grown);
+    }
+  }
+  for (const auto& [origin, rec] : lsdb) put(origin, {});
+  for (const auto& [origin, rec] : lsdb) put(origin, rec.neighbors);
+  CHECK(compactions > 0);
+  CHECK(other.pool_size() != db.pool_size());
+  builds = spf.builds();
+  solve_from_every_origin(other, lsdb);
+  CHECK(spf.builds() == builds);
+
+  // 3. A copy in which anchor 2 lists spoke {5, 3} in place of its own
+  // spoke {2, 5}: one neighbor address differs and every count is equal.
+  Lsdb moved = lsdb;
+  std::vector<Address>& anchor = moved[Address{2, 1}].neighbors;
+  *std::find(anchor.begin(), anchor.end(), Address{2, 5}) = Address{5, 3};
+  routing::Lsdb changed = db;
+  changed.put(Address{2, 1}, 2, anchor);
+  builds = spf.builds();
+  solve_from_every_origin(changed, moved);
+  CHECK(spf.builds() == builds + 1);
+
+  // 4. A source that no record names, whose live links are a member, the
+  // source itself, and two peers that no record names: one listed twice,
+  // one sorting between members.
+  const Address src{7, 1};
+  const std::vector<Address> live = {Address{9, 9}, Address{1, 1}, Address{3, 7}, src,
+                                     Address{9, 9}};
+  builds = spf.builds();
+  const std::vector<routing::UnitSpf::Route>& routes = unit_spf_over(src, live, changed);
+  CHECK(same_routes(routes, dijkstra_over(src, live, moved)));
+  CHECK(spf.builds() == builds);
+  CHECK(routes.size() == moved.size() + 1 + 2 - 1);  // + {3, 9}, the peers; - {2, 5}
 }
 
 // Seeded differential test of the packed LSDB against a map of vectors:
@@ -659,6 +769,7 @@ int main() {
   directory_matches_reference();
   directory_allocations();
   unit_spf_oracle();
+  unit_spf_reuses_graph();
   lsdb_matches_map();
   fib_replace_reads_back();
   fib_replace_drops_memo();
