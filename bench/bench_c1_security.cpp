@@ -24,7 +24,7 @@ int main() {
   Network net(801);
   net.add_link("gw", "srv");
   node::DifSpec spec = mk_dif("secure", {"gw", "srv"});
-  spec.cfg.auth_policy = "psk-challenge";
+  spec.cfg.auth_policy = dif::AuthPolicy::psk_challenge;
   spec.cfg.auth_secret = "correct horse battery staple";
   if (!net.build_link_dif(spec).ok()) return 1;
   net.add_link("eve", "gw");
@@ -59,17 +59,17 @@ int main() {
   {
     (void)eve_ipcp.enroll_via(eve_port);
     net.run_for(SimTime::from_sec(2));
-    std::uint64_t rejects = gw->enrollment().stats().get("joins_rejected");
+    std::uint64_t rejects = gw->stats().get("joins_rejected");
     t.add_row({"join the network", "RINA (psk DIF)",
                TablePrinter::integer(
-                   gw->enrollment().stats().get("join_requests_received")),
+                   gw->stats().get("join_requests_received")),
                TablePrinter::integer(rejects) + " rejects",
                eve_ipcp.enrolled() ? "ENROLLED (!)" : "0"});
   }
 
   // Attack 2 (RINA): forged data PDUs at guessed addresses / CEP-ids.
   {
-    std::uint64_t before_drops = gw->rmt().stats().get("drop_unenrolled_port");
+    std::uint64_t before_drops = gw->stats().get("drop_unenrolled_port");
     const int kProbes = 64;
     for (int i = 0; i < kProbes; ++i) {
       efcp::Pdu pdu;
@@ -84,7 +84,7 @@ int main() {
     }
     net.run_for(SimTime::from_ms(200));
     std::uint64_t dropped =
-        gw->rmt().stats().get("drop_unenrolled_port") - before_drops;
+        gw->stats().get("drop_unenrolled_port") - before_drops;
     t.add_row({"inject forged data", "RINA (psk DIF)",
                TablePrinter::integer(kProbes),
                "0 (silent drop of " + std::to_string(dropped) + ")",
@@ -139,9 +139,13 @@ int main() {
 
   // ---------------- enrollment policy sweep ----------------
   TablePrinter t2({"auth policy", "credentials", "outcome", "mgmt msgs"});
-  for (const std::string policy : {"none", "password", "psk-challenge"}) {
+  const std::pair<dif::AuthPolicy, const char*> policies[] = {
+      {dif::AuthPolicy::none, "none"},
+      {dif::AuthPolicy::password, "password"},
+      {dif::AuthPolicy::psk_challenge, "psk-challenge"}};
+  for (const auto& [policy, label] : policies) {
     for (bool correct : {true, false}) {
-      if (policy == "none" && !correct) continue;
+      if (policy == dif::AuthPolicy::none && !correct) continue;
       Network n2(803);
       n2.add_link("a", "b");
       node::DifSpec s2 = mk_dif("d", {"a"});
@@ -156,11 +160,11 @@ int main() {
       if (!wires.ok()) return 1;
       (void)joiner.enroll_via(wires.value().second);
       n2.run_until([&] { return joiner.enrolled(); }, SimTime::from_sec(1));
-      std::uint64_t msgs = a->enrollment().stats().get("join_requests_received") +
-                           a->enrollment().stats().get("joins_accepted") +
-                           a->enrollment().stats().get("joins_rejected") +
-                           a->enrollment().stats().get("members_admitted");
-      t2.add_row({policy, correct ? "correct" : "wrong",
+      std::uint64_t msgs = a->stats().get("join_requests_received") +
+                           a->stats().get("joins_accepted") +
+                           a->stats().get("joins_rejected") +
+                           a->stats().get("members_admitted");
+      t2.add_row({label, correct ? "correct" : "wrong",
                   joiner.enrolled() ? "admitted" : "rejected",
                   TablePrinter::integer(msgs)});
     }

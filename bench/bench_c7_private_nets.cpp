@@ -42,7 +42,7 @@ int main() {
 
   // Corporate overlay across both sites and the provider.
   node::DifSpec corp = mk_dif("corp", {"borderA", "hostA1", "borderB", "hostB1"});
-  corp.cfg.auth_policy = "password";
+  corp.cfg.auth_policy = dif::AuthPolicy::password;
   corp.cfg.auth_secret = "corp-secret";
   if (!net.build_overlay_dif(
               corp, {{"hostA1", "borderA", naming::DifName{"siteA"}, {}},

@@ -63,7 +63,7 @@ RunOut run_one(bool two_level, double frac) {
   out.p50_ms = sink.delay_ms().p50();
   out.p99_ms = sink.delay_ms().p99();
   auto* r = net.node("router").ipcp(app_dif);
-  if (r != nullptr) out.relayed = r->rmt().stats().get("relayed");
+  if (r != nullptr) out.relayed = r->stats().get("relayed");
   return out;
 }
 

@@ -1,9 +1,12 @@
 // stats.hpp — named counters and a sample histogram.
 //
-// Stats is the one observability surface of the simulator: every component
-// (RMT, enrollment, EFCP connections, links, baseline transports) exposes a
-// Stats and the benches read it by counter name. get() on a missing name is
-// 0, so benches can probe counters a configuration never increments.
+// Stats is the one observability surface of the simulator: each IPC process
+// keeps one table for itself and its RMT, flow allocator and enrollment,
+// and EFCP connections, content stores and baseline transports keep
+// theirs; the benches read them by counter name. get() on a missing name
+// is 0, so benches can probe counters a configuration never increments.
+// A Stats holds counts only: gauges are read from their source when asked
+// (ipcp::Ipcp::counter_sum).
 //
 // Sharding ownership rule: a Stats object belongs to the component that
 // owns it, and every component lives on exactly ONE shard — so each
@@ -39,8 +42,8 @@ class Stats {
     return it == counters_.end() ? 0 : it->second;
   }
 
-  /// Fold another Stats into this one (used when aggregating per-connection
-  /// stats into their allocator on teardown).
+  /// Fold another Stats into this one (a closed connection's counts into
+  /// its IPCP's table).
   void merge(const Stats& other) {
     for (const auto& [k, v] : other.counters_) counters_[k] += v;
   }

@@ -14,6 +14,10 @@
 
 namespace rina::dif {
 
+/// How a member admits a joiner: anyone, a shared password sent in the
+/// join request, or a challenge the joiner answers with a keyed token.
+enum class AuthPolicy { none, password, psk_challenge };
+
 struct DifConfig {
   naming::DifName name;
 
@@ -21,8 +25,7 @@ struct DifConfig {
   /// unreliable id 1), installed at DIF build time.
   std::vector<flow::QosCube> cubes;
 
-  /// Admission policy: "none", "password", "psk-challenge".
-  std::string auth_policy = "none";
+  AuthPolicy auth_policy = AuthPolicy::none;
   std::string auth_secret;
 
   /// Liveness probing of adjacencies (needed when the lower level cannot

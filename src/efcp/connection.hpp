@@ -59,14 +59,6 @@ class Connection {
     c_acks_tx_ = stats_.slot("acks_tx");
     c_acks_rx_ = stats_.slot("acks_rx");
     c_sdus_delivered_ = stats_.slot("sdus_delivered");
-    // Estimator/window gauges (assigned, not incremented): benches and
-    // tests read srtt/rttvar/rto and the live window by counter name
-    // instead of reaching into DTCP internals.
-    c_srtt_us_ = stats_.slot("srtt_us");
-    c_rttvar_us_ = stats_.slot("rttvar_us");
-    c_rto_us_ = stats_.slot("rto_us");
-    c_cwnd_ = stats_.slot("cwnd_pdus");
-    *c_cwnd_ = dtcp_.window();
     // DTCP governs the reliable sender's admission; an unreliable flow
     // has no acks (so no window and no congestion feedback) and sends
     // on write. A non-default tx policy on such a flow is inert —
@@ -160,9 +152,10 @@ class Connection {
     on_writable_ = std::move(cb);
   }
 
-  /// DTCP visibility (tests, diagnostics): the current transmission
-  /// window, the raw congestion window of the windowed policies, and
-  /// the shared RTT estimator.
+  /// DTCP visibility: the current transmission window, the raw
+  /// congestion window of the windowed policies, and the shared RTT
+  /// estimator. The IPCP reads its EFCP gauges from these when asked
+  /// (Ipcp::counter_sum), so the stats hold counts only.
   [[nodiscard]] std::size_t tx_window() const { return dtcp_.window(); }
   [[nodiscard]] double cwnd() const { return dtcp_.cwnd(); }
   [[nodiscard]] const RttEstimator& rtt() const { return dtcp_.rtt(); }
@@ -255,10 +248,7 @@ class Connection {
     // advances — the receiver saw congestion inside this DIF.
     if ((pci.flags & kFlagEcnEcho) != 0) {
       stats_.inc("ecn_echo_rx");
-      if (dtcp_.on_congestion(acked_, next_seq_)) {
-        stats_.inc("cwnd_backoffs");
-        *c_cwnd_ = dtcp_.window();
-      }
+      if (dtcp_.on_congestion(acked_, next_seq_)) stats_.inc("cwnd_backoffs");
     }
     if (cum > acked_) {
       std::size_t newly = 0;
@@ -267,9 +257,7 @@ class Connection {
         // Karn's rule lives in the estimator: a sample over a
         // retransmitted PDU is refused there, and the refusal is counted
         // here so tests can see ambiguous samples never reach the filter.
-        if (dtcp_.on_rtt_sample(sched_.now() - u.sent, u.retransmitted))
-          publish_rtt_gauges();
-        else
+        if (!dtcp_.on_rtt_sample(sched_.now() - u.sent, u.retransmitted))
           stats_.inc("rtt_samples_karn_ignored");
         inflight_.pop_front();
         ++newly;
@@ -278,7 +266,6 @@ class Connection {
       dup_acks_ = 0;
       dtcp_.on_ack_edge_advance();
       if ((pci.flags & kFlagEcnEcho) == 0) dtcp_.on_ack_advance(newly);
-      *c_cwnd_ = dtcp_.window();
       drain_sendq();
       arm_timer();
       return;
@@ -289,10 +276,7 @@ class Connection {
       retransmit_oldest(/*fast=*/true);
       // A fast retransmit is inferred loss — congestion feedback like an
       // RTO (the recovery guard keeps it to one cut per window).
-      if (dtcp_.on_congestion(acked_, next_seq_)) {
-        stats_.inc("cwnd_backoffs");
-        *c_cwnd_ = dtcp_.window();
-      }
+      if (dtcp_.on_congestion(acked_, next_seq_)) stats_.inc("cwnd_backoffs");
     }
   }
 
@@ -314,12 +298,8 @@ class Connection {
     stats_.inc("rto_fired");
     // Loss is a congestion signal too (the marks may have been lost with
     // the PDUs they rode on).
-    if (dtcp_.on_congestion(acked_, next_seq_)) {
-      stats_.inc("cwnd_backoffs");
-      *c_cwnd_ = dtcp_.window();
-    }
+    if (dtcp_.on_congestion(acked_, next_seq_)) stats_.inc("cwnd_backoffs");
     dtcp_.on_rto_timeout();
-    publish_rtt_gauges();
     arm_timer();
   }
 
@@ -336,14 +316,6 @@ class Connection {
     SimTime t = dtcp_.rto();
     if (!rto_timer_.rearm(t))
       rto_timer_ = sched_.schedule_after(t, [this] { on_rto(); });
-  }
-
-  /// Mirror the estimator into the gauge counters after it moved.
-  void publish_rtt_gauges() {
-    const RttEstimator& r = dtcp_.rtt();
-    *c_srtt_us_ = static_cast<std::uint64_t>(r.srtt().ns / 1000);
-    *c_rttvar_us_ = static_cast<std::uint64_t>(r.rttvar().ns / 1000);
-    *c_rto_us_ = static_cast<std::uint64_t>(r.rto().ns / 1000);
   }
 
   // ---- receiver side ----
@@ -433,11 +405,6 @@ class Connection {
   std::uint64_t* c_acks_tx_ = nullptr;
   std::uint64_t* c_acks_rx_ = nullptr;
   std::uint64_t* c_sdus_delivered_ = nullptr;
-  // Estimator/window gauges (current values, not accumulations).
-  std::uint64_t* c_srtt_us_ = nullptr;
-  std::uint64_t* c_rttvar_us_ = nullptr;
-  std::uint64_t* c_rto_us_ = nullptr;
-  std::uint64_t* c_cwnd_ = nullptr;
 
   // Sender.
   std::uint64_t next_seq_ = 0;

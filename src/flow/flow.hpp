@@ -11,7 +11,7 @@
 // the RMT class queue, for unreliable flows) is saturated — backpressure
 // reaches the application instead of vanishing into an unbounded queue.
 // read() pulls from a bounded per-flow receive queue (overflow is counted
-// as app_rx_dropped in the allocator's stats). deallocate() runs a
+// as app_rx_dropped in the IPC process's stats). deallocate() runs a
 // release exchange that retires port state at BOTH ends and fires the
 // remote peer's on_closed; it is idempotent.
 //

@@ -224,6 +224,27 @@ void aggregate_foreign_regions(std::vector<routing::UnitSpf::Route>& routes,
   routes.resize(w);
 }
 
+/// An EFCP gauge's current value on one connection: its window, or its
+/// RTT estimator's, which reads 0 until the first sample.
+using EfcpGauge = std::uint64_t (*)(const efcp::Connection&);
+
+std::uint64_t sampled_us(const efcp::Connection& c, SimTime t) {
+  return c.rtt().has_sample() ? static_cast<std::uint64_t>(t.ns / 1000) : 0;
+}
+
+/// The reader of the EFCP gauge `name`; nullptr for a counter.
+EfcpGauge efcp_gauge(const std::string& name) {
+  if (name == "cwnd_pdus")
+    return [](const efcp::Connection& c) -> std::uint64_t { return c.tx_window(); };
+  if (name == "srtt_us")
+    return [](const efcp::Connection& c) { return sampled_us(c, c.rtt().srtt()); };
+  if (name == "rttvar_us")
+    return [](const efcp::Connection& c) { return sampled_us(c, c.rtt().rttvar()); };
+  if (name == "rto_us")
+    return [](const efcp::Connection& c) { return sampled_us(c, c.rtt().rto()); };
+  return nullptr;
+}
+
 }  // namespace
 
 // ============================ Ipcp core ============================
@@ -234,7 +255,6 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
       dif_id_(dif_id),
       rmt_(*this),
       fa_(*this),
-      enrollment_(*this),
       dir_cache_(kDirCacheTtl, kDirCacheEntries) {
   c_hellos_sent_ = stats_.slot("hellos_sent");
   c_keepalives_sent_ = stats_.slot("keepalives_sent");
@@ -253,8 +273,17 @@ Ipcp::Ipcp(IpcpHost& host, const dif::DifConfig& cfg, std::uint32_t dif_id)
 }
 
 std::uint64_t Ipcp::counter_sum(const std::string& name) const {
-  std::uint64_t n = stats_.get(name) + rmt_.stats_.get(name) +
-                    fa_.stats_.get(name) + enrollment_.stats_.get(name);
+  std::uint64_t n = 0;
+  if (name == "rmt_queue_peak") {
+    for (const Port& p : ports_) n = std::max<std::uint64_t>(n, p.queue.peak());
+    return n;
+  }
+  if (EfcpGauge g = efcp_gauge(name)) {
+    for (const auto& rec : fa_.flows_)
+      if (rec && rec->conn) n = std::max(n, g(*rec->conn));
+    return n;
+  }
+  n = stats_.get(name);
   if (cstore_) n += cstore_->stats().get(name);
   for (const auto& rec : fa_.flows_)
     if (rec && rec->conn) n += rec->conn->stats().get(name);
@@ -337,7 +366,7 @@ void Ipcp::on_port_frame(relay::PortIndex idx, Packet&& frame) {
   if (idx >= ports_.size()) return;
   auto decoded = efcp::Pdu::decode_packet(std::move(frame));
   if (!decoded.ok()) {
-    rmt_.stats_.inc("drop_decode");
+    stats_.inc("drop_decode");
     return;
   }
   efcp::Pdu& pdu = decoded.value();
@@ -351,7 +380,7 @@ void Ipcp::on_port_frame(relay::PortIndex idx, Packet&& frame) {
   // Everything with an address in it crosses the membership gate: a port
   // whose peer never authenticated gets silence, not errors (§6.1).
   if (!p.peer_enrolled) {
-    rmt_.stats_.inc("drop_unenrolled_port");
+    stats_.inc("drop_unenrolled_port");
     return;
   }
   if (pdu.pci.dest == address_ && !address_.is_null()) {
@@ -360,7 +389,7 @@ void Ipcp::on_port_frame(relay::PortIndex idx, Packet&& frame) {
   }
   // Relay: not ours, forward inside the DIF.
   if (pdu.pci.ttl == 0) {
-    rmt_.stats_.inc("drop_ttl");
+    stats_.inc("drop_ttl");
     return;
   }
   --pdu.pci.ttl;
@@ -372,7 +401,7 @@ void Ipcp::on_port_frame(relay::PortIndex idx, Packet&& frame) {
   auto out = rmt_.fib_.lookup(pdu.pci.dest,
                               [this](relay::PortIndex i) { return port_up(i); });
   if (!out) {
-    rmt_.stats_.inc("drop_no_route");
+    stats_.inc("drop_no_route");
     return;
   }
   ++*rmt_.c_relayed_;
@@ -383,7 +412,7 @@ void Ipcp::deliver_local(efcp::Pdu&& pdu) {
   if (pdu.pci.type == efcp::PduType::mgmt) {
     auto m = rib::RiepMessage::decode(pdu.payload.view());
     if (!m.ok()) {
-      rmt_.stats_.inc("drop_decode");
+      stats_.inc("drop_decode");
       return;
     }
     const rib::RiepMessage& msg = m.value();
@@ -407,7 +436,7 @@ void Ipcp::deliver_local(efcp::Pdu&& pdu) {
   // per-PDU hot path.
   auto* rec = fa_.by_cep(pdu.pci.dest_cep);
   if (rec == nullptr || !rec->conn) {
-    rmt_.stats_.inc("drop_no_cep");
+    stats_.inc("drop_no_cep");
     return;
   }
   rec->conn->on_pdu(pdu.pci, std::move(pdu.payload));
@@ -443,7 +472,7 @@ bool Ipcp::content_store_filter(efcp::Pdu& pdu) {
     reply.pci.src_cep = pdu.pci.dest_cep;
     reply.pci.seq = pdu.pci.seq;
     reply.payload = Packet::with_headroom(kDefaultHeadroom, BytesView{reply_bytes});
-    rmt_.stats_.inc("cs_replies");
+    stats_.inc("cs_replies");
     rmt_.send(std::move(reply));
     return true;  // the interest stops here
   }
@@ -468,7 +497,7 @@ void Ipcp::send_mgmt(relay::PortIndex idx, const rib::RiepMessage& m) {
     ++*c_lsus_flooded_;
   } else {
     ++*c_riep_sent_;
-    if (m.obj_class == ObjClass::join_req) enrollment_.stats_.inc("join_requests_sent");
+    if (m.obj_class == ObjClass::join_req) stats_.inc("join_requests_sent");
   }
   efcp::Pdu pdu;
   pdu.pci.type = efcp::PduType::mgmt;
@@ -493,7 +522,7 @@ void Ipcp::send_routed_mgmt(naming::Address dest, const rib::RiepMessage& m) {
 void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
   auto decoded = rib::RiepMessage::decode(pdu.payload.view());
   if (!decoded.ok()) {
-    rmt_.stats_.inc("drop_decode");
+    stats_.inc("drop_decode");
     return;
   }
   const rib::RiepMessage& m = decoded.value();
@@ -521,7 +550,7 @@ void Ipcp::handle_mgmt(relay::PortIndex idx, const efcp::Pdu& pdu) {
   }
   if (!p.peer_enrolled) {
     // Non-members only get to talk enrollment.
-    rmt_.stats_.inc("drop_unenrolled_port");
+    stats_.inc("drop_unenrolled_port");
   } else if (m.obj_class == ObjClass::keepalive) {
     handle_keepalive(idx);
   } else if (m.obj_class == ObjClass::bye) {
@@ -537,7 +566,7 @@ void Ipcp::handle_hello(relay::PortIndex idx, const rib::RiepMessage& m) {
   std::uint64_t token = r.get_u64();
   (void)r.get_lpstring();
   if (!r.ok()) return;
-  if (cfg_.auth_policy != "none" && token != auth_token(kHelloNonce)) {
+  if (cfg_.auth_policy != dif::AuthPolicy::none && token != auth_token(kHelloNonce)) {
     stats_.inc("hello_rejected");
     return;
   }
@@ -576,13 +605,12 @@ void Ipcp::handle_bye(relay::PortIndex idx) {
 
 // ---------------------------- routing ----------------------------
 
-std::map<naming::Address, std::vector<relay::PortIndex>> Ipcp::live_neighbors()
-    const {
-  std::map<naming::Address, std::vector<relay::PortIndex>> out;
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    const Port& p = ports_[i];
-    if (usable(p)) out[p.peer].push_back(static_cast<relay::PortIndex>(i));
-  }
+std::vector<naming::Address> Ipcp::live_neighbors() const {
+  std::vector<naming::Address> out;
+  for (const Port& p : ports_)
+    if (usable(p)) out.push_back(p.peer);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -601,11 +629,10 @@ void Ipcp::rebuild_neighbor_ports() {
 void Ipcp::adjacency_changed() {
   if (departed_) return;
   rebuild_neighbor_ports();
-  std::vector<naming::Address> now_set;
-  for (const auto& [addr, ports] : live_neighbors()) now_set.push_back(addr);
+  std::vector<naming::Address> now_set = live_neighbors();
   schedule_spf();
   if (now_set == last_neighbor_set_) return;
-  last_neighbor_set_ = now_set;
+  last_neighbor_set_ = std::move(now_set);
   if (lsu_timer_.armed() || !enrolled_) return;
   lsu_timer_ = sched().schedule_after(kLsuDebounce, [this] { originate_lsu(); });
 }
@@ -613,8 +640,7 @@ void Ipcp::adjacency_changed() {
 void Ipcp::originate_lsu() {
   if (!enrolled_ || address_.is_null()) return;
   ++lsu_seq_;
-  std::vector<naming::Address> neighbors;
-  for (const auto& [addr, ports] : live_neighbors()) neighbors.push_back(addr);
+  const std::vector<naming::Address> neighbors = live_neighbors();
   lsdb_.put(address_, lsu_seq_, neighbors);
   ++*c_lsus_originated_;
   SyncPacker pk;
@@ -703,25 +729,25 @@ Result<void> Ipcp::enroll_via(relay::PortIndex idx) {
   if (idx >= ports_.size()) return {Err::invalid, "no such port"};
   if (enrolled_) return {Err::already_exists, "already enrolled"};
   departed_ = false;
-  enrollment_.join_port_ = idx;
-  enrollment_.attempts_ = 0;
+  join_port_ = idx;
+  join_attempts_ = 0;
   join_attempt(idx);
   return Ok();
 }
 
 void Ipcp::join_attempt(relay::PortIndex idx) {
   if (enrolled_) return;
-  if (enrollment_.attempts_ >= kMaxJoinAttempts) {
-    enrollment_.stats_.inc("join_gave_up");
+  if (join_attempts_ >= kMaxJoinAttempts) {
+    stats_.inc("join_gave_up");
     return;
   }
-  ++enrollment_.attempts_;
+  ++join_attempts_;
   BufWriter w(32);
   w.put_lpstring(host_.node_name());
-  w.put_lpstring(cfg_.auth_policy == "password" ? cfg_.auth_secret : "");
+  w.put_lpstring(cfg_.auth_policy == dif::AuthPolicy::password ? cfg_.auth_secret : "");
   send_mgmt(idx, {RiepOp::start, ObjClass::join_req, 0, std::move(w).take()});
 
-  enrollment_.join_timer_ = sched().schedule_after(kJoinTimeout, [this, idx] {
+  join_timer_ = sched().schedule_after(kJoinTimeout, [this, idx] {
     if (!enrolled_) join_attempt(idx);
   });
 }
@@ -730,27 +756,27 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
   Port& p = ports_[idx];
   BufReader r(BytesView{m.value});
   auto reject = [&](const char* why) {
-    enrollment_.stats_.inc("joins_rejected");
+    stats_.inc("joins_rejected");
     send_mgmt(idx, {RiepOp::reply, ObjClass::join_reject, 0, to_bytes(why)});
   };
 
   switch (m.obj_class) {
     case ObjClass::join_req: {
       if (!enrolled_) return;  // only members admit
-      enrollment_.stats_.inc("join_requests_received");
+      stats_.inc("join_requests_received");
       (void)r.get_lpstring();  // the joiner's node name
       std::string offered_secret = r.get_lpstring();
       if (!r.ok()) return;
-      if (cfg_.auth_policy == "none") {
+      if (cfg_.auth_policy == dif::AuthPolicy::none) {
         admit_joiner(idx);
-      } else if (cfg_.auth_policy == "password") {
+      } else if (cfg_.auth_policy == dif::AuthPolicy::password) {
         if (offered_secret == cfg_.auth_secret) {
           admit_joiner(idx);
         } else {
           reject("bad credentials");
         }
-      } else {  // psk-challenge
-        std::uint64_t nonce = splitmix64(++enrollment_.nonce_counter_ ^
+      } else {  // psk_challenge
+        std::uint64_t nonce = splitmix64(++nonce_counter_ ^
                                          (static_cast<std::uint64_t>(dif_id_) << 32) ^
                                          address_.key());
         p.join_nonce = nonce;
@@ -799,9 +825,9 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
       // Same gating as accept/challenge: a spoofed reject from another port
       // must not cancel or redirect the enrollment in progress.
       if (!joining_via(idx)) return;
-      enrollment_.stats_.inc("join_rejects_received");
+      stats_.inc("join_rejects_received");
       // Re-arming the join timer supersedes the pending timeout retry.
-      enrollment_.join_timer_ = sched().schedule_after(kJoinRetryGap, [this, idx] {
+      join_timer_ = sched().schedule_after(kJoinRetryGap, [this, idx] {
         if (!enrolled_) join_attempt(idx);
       });
       return;
@@ -814,8 +840,8 @@ void Ipcp::handle_join_msg(relay::PortIndex idx, const rib::RiepMessage& m) {
 void Ipcp::admit_joiner(relay::PortIndex idx) {
   Port& p = ports_[idx];
   naming::Address assigned = host_.allocate_dif_address(cfg_.name);
-  enrollment_.stats_.inc("joins_accepted");
-  enrollment_.stats_.inc("members_admitted");
+  stats_.inc("joins_accepted");
+  stats_.inc("members_admitted");
   p.peer = assigned;
   p.peer_enrolled = true;
   p.alive = true;
@@ -843,8 +869,8 @@ void Ipcp::complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m) 
   // The DIF's versions before my apps.
   if (!r.ok() || !apply_sync(idx, sync_msg(r.get_bytes(r.remaining()).to_bytes())))
     return;
-  enrollment_.join_timer_.cancel();  // the pending timeout retry
-  enrollment_.stats_.inc("joins_completed");
+  join_timer_.cancel();  // the pending timeout retry
+  stats_.inc("joins_completed");
   p.peer = member;
   p.peer_enrolled = true;
   p.alive = true;
@@ -1185,6 +1211,11 @@ void Ipcp::handle_dir_read_reply(const rib::RiepMessage& m) {
 
 // ============================== Rmt ==============================
 
+Rmt::Rmt(Ipcp& self)
+    : self_(self),
+      c_pdus_out_(self.stats_.slot("pdus_out")),
+      c_relayed_(self.stats_.slot("relayed")) {}
+
 void Rmt::send(efcp::Pdu&& pdu) {
   ++*c_pdus_out_;
   if (pdu.pci.dest == self_.address_ && !pdu.pci.dest.is_null()) {
@@ -1194,7 +1225,7 @@ void Rmt::send(efcp::Pdu&& pdu) {
   auto out = fib_.lookup(pdu.pci.dest,
                          [this](relay::PortIndex i) { return self_.port_up(i); });
   if (!out) {
-    stats_.inc("drop_no_route");
+    self_.stats_.inc("drop_no_route");
     return;
   }
   egress(*out, std::move(pdu));
@@ -1233,12 +1264,12 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   // implies non-empty, so the direct-tx fast path below is unreachable
   // anyway); rmt_drops counts every tail drop.
   if (p.queue.full(prio)) {
-    stats_.inc("rmt_drops");
+    self_.stats_.inc("rmt_drops");
     return;
   }
   if (pdu.pci.type == efcp::PduType::data && p.queue.should_mark(prio)) {
     pdu.pci.flags |= efcp::kFlagEcn;
-    stats_.inc("ecn_marked");
+    self_.stats_.inc("ecn_marked");
   }
   // Encode exactly once: the PCI goes into the payload's headroom in
   // place; queueing and drain retries reuse the same frame.
@@ -1249,8 +1280,6 @@ void Rmt::egress(relay::PortIndex port, efcp::Pdu&& pdu) {
   // Cannot be refused: the queue was not full above, and nothing since
   // has filled it.
   (void)p.queue.push(prio, frame);
-  if (std::uint64_t pk = p.queue.peak(); pk > *c_rmt_queue_peak_)
-    *c_rmt_queue_peak_ = pk;
   // The frame waits for port_ready: the attachment that refused it says
   // when it can take more (a wire's on_ready, a lower flow's on_writable).
 }
@@ -1269,14 +1298,14 @@ Result<void> FlowAllocator::register_app(const naming::AppName& app,
                                          flow::AcceptFn accept) {
   auto [it, inserted] = apps_.emplace(app, std::move(accept));
   if (!inserted) return {Err::already_exists, app.to_string()};
-  stats_.inc("apps_registered");
+  self_.stats_.inc("apps_registered");
   self_.publish_app(app);
   return Ok();
 }
 
 Result<void> FlowAllocator::unregister_app(const naming::AppName& app) {
   if (apps_.erase(app) == 0) return {Err::not_found, app.to_string()};
-  stats_.inc("apps_unregistered");
+  self_.stats_.inc("apps_unregistered");
   self_.unpublish_app(app);
   return Ok();
 }
@@ -1322,7 +1351,7 @@ void FlowAllocator::allocate(const naming::AppName& local,
   const flow::QosCube* cube = find_cube(spec);
   if (cube == nullptr) {
     if (!spec.cube_hint.empty()) {
-      stats_.inc("alloc_no_such_cube");
+      self_.stats_.inc("alloc_no_such_cube");
       cb({Err::no_such_cube, "DIF " + self_.cfg_.name.str() +
                                  " offers no QoS cube named '" +
                                  spec.cube_hint + "'"});
@@ -1341,7 +1370,7 @@ void FlowAllocator::allocate(const naming::AppName& local,
   pend.local_cep = fresh_cep();
   pend.deadline = self_.sched().now() + kAllocDeadline;
   pending_.emplace(invoke, std::move(pend));
-  stats_.inc("alloc_requests");
+  self_.stats_.inc("alloc_requests");
   try_pending(invoke);
 }
 
@@ -1407,8 +1436,33 @@ void FlowAllocator::finish_pending(std::uint32_t invoke_id,
   if (it == pending_.end()) return;
   flow::AllocateCallback cb = std::move(it->second.cb);
   pending_.erase(it);
-  if (!r.ok()) stats_.inc("alloc_failed");
+  if (!r.ok()) self_.stats_.inc("alloc_failed");
   cb(std::move(r));
+}
+
+flow::FlowInfo FlowAllocator::open_flow(const naming::AppName& local,
+                                        const naming::AppName& remote,
+                                        naming::Address peer, const flow::QosCube& cube,
+                                        efcp::CepId local_cep, efcp::CepId remote_cep) {
+  auto rec = std::make_unique<FlowRec>();
+  rec->port = self_.host_.allocate_port_id();
+  rec->local = local;
+  rec->remote = remote;
+  rec->peer = peer;
+  rec->cube = cube;
+  rec->local_cep = local_cep;
+  rec->remote_cep = remote_cep;
+  create_connection(*rec);
+  by_cep_.put(local_cep, rec->port);
+
+  flow::FlowInfo info;
+  info.port = rec->port;
+  info.cube = cube;
+  info.local = local;
+  info.remote = remote;
+  info.dif = self_.cfg_.name;
+  insert_rec(std::move(rec));
+  return info;
 }
 
 void FlowAllocator::create_connection(FlowRec& rec) {
@@ -1423,11 +1477,11 @@ void FlowAllocator::create_connection(FlowRec& rec) {
   if (named.ok()) {
     pol = named.value();
   } else {
-    stats_.inc("efcp_policy_unknown");
+    self_.stats_.inc("efcp_policy_unknown");
   }
   if (!rec.cube.dtcp_policy.empty()) {
     if (!pol.set_tx_policy(rec.cube.dtcp_policy).ok())
-      stats_.inc("efcp_policy_unknown");
+      self_.stats_.inc("efcp_policy_unknown");
   }
   if (rec.cube.rate_pps > 0.0) pol.rate_pps = rec.cube.rate_pps;
   if (rec.cube.rate_burst_pdus > 0.0) pol.bucket_pdus = rec.cube.rate_burst_pdus;
@@ -1462,13 +1516,13 @@ void FlowAllocator::deliver_sdu(FlowRec& rec, Packet&& sdu) {
     if (sh.rx.size() >= sh.rx_cap) {
       // The app is not reading: bounded queue, counted drop. The loss is
       // charged to the reader here, never hidden in unbounded memory.
-      stats_.inc("app_rx_dropped");
+      self_.stats_.inc("app_rx_dropped");
       return;
     }
     sh.push_rx(std::move(sdu).take_bytes());
     return;
   }
-  stats_.inc("sdus_unconsumed");
+  self_.stats_.inc("sdus_unconsumed");
 }
 
 void FlowAllocator::attach_handle(
@@ -1547,7 +1601,7 @@ void FlowAllocator::on_flow_req(const efcp::Pci& /*pci*/, const rib::RiepMessage
 
   auto ait = apps_.find(dst_app);
   if (ait == apps_.end()) {
-    stats_.inc("flow_reqs_refused");
+    self_.stats_.inc("flow_reqs_refused");
     reply(false, 0, "no such application: " + dst_app.to_string());
     return;
   }
@@ -1555,33 +1609,15 @@ void FlowAllocator::on_flow_req(const efcp::Pci& /*pci*/, const rib::RiepMessage
   for (const auto& c : self_.cfg_.cubes)
     if (c.name == cube_name) cube = &c;
   if (cube == nullptr) {
-    stats_.inc("alloc_no_such_cube");
+    self_.stats_.inc("alloc_no_such_cube");
     reply(false, 0, "no such QoS cube: " + cube_name);
     return;
   }
 
-  auto rec = std::make_unique<FlowRec>();
-  rec->port = self_.host_.allocate_port_id();
-  rec->local = dst_app;
-  rec->remote = src_app;
-  rec->peer = src_addr;
-  rec->cube = *cube;
-  rec->local_cep = fresh_cep();
-  rec->remote_cep = src_cep;
-  create_connection(*rec);
-  flow::PortId port = rec->port;
-  by_cep_.put(rec->local_cep, port);
-  remote_flow_index_[key] = port;
-  stats_.inc("flows_accepted");
-
-  flow::FlowInfo info;
-  info.port = port;
-  info.cube = *cube;
-  info.local = dst_app;
-  info.remote = src_app;
-  info.dif = self_.cfg_.name;
-  efcp::CepId local_cep = rec->local_cep;
-  insert_rec(std::move(rec));
+  efcp::CepId local_cep = fresh_cep();
+  flow::FlowInfo info = open_flow(dst_app, src_app, src_addr, *cube, local_cep, src_cep);
+  remote_flow_index_[key] = info.port;
+  self_.stats_.inc("flows_accepted");
   // Reply BEFORE handing the app its handle: an accept handler that
   // writes immediately (server-push) would otherwise race its own SDUs
   // ahead of the FlowResp through the FIFO RMT queue, and the initiator
@@ -1591,7 +1627,7 @@ void FlowAllocator::on_flow_req(const efcp::Pci& /*pci*/, const rib::RiepMessage
   // the shared state, so the app may drop the handle and live off hooks.
   auto shared = std::make_shared<flow::detail::FlowShared>();
   shared->open_with(info);
-  attach_handle(port, shared);
+  attach_handle(info.port, shared);
   if (ait->second) ait->second(flow::Flow(shared));
 }
 
@@ -1611,25 +1647,9 @@ void FlowAllocator::on_flow_resp(const efcp::Pci& pci, const rib::RiepMessage& m
   // The responder's address comes from the response itself — the
   // directory entry may have been withdrawn while the request was in
   // flight, and a null peer would black-hole every write.
-  auto rec = std::make_unique<FlowRec>();
-  rec->port = self_.host_.allocate_port_id();
-  rec->local = pend.local;
-  rec->remote = pend.remote;
-  rec->peer = pci.src;
-  rec->cube = pend.cube;
-  rec->local_cep = pend.local_cep;
-  rec->remote_cep = cep;
-  create_connection(*rec);
-
-  flow::FlowInfo info;
-  info.port = rec->port;
-  info.cube = rec->cube;
-  info.local = pend.local;
-  info.remote = pend.remote;
-  info.dif = self_.cfg_.name;
-  by_cep_.put(rec->local_cep, rec->port);
-  insert_rec(std::move(rec));
-  stats_.inc("flows_allocated");
+  flow::FlowInfo info =
+      open_flow(pend.local, pend.remote, pci.src, pend.cube, pend.local_cep, cep);
+  self_.stats_.inc("flows_allocated");
   finish_pending(m.invoke_id, info);
 }
 
@@ -1657,7 +1677,7 @@ Result<void> FlowAllocator::deallocate(flow::PortId port) {
   if (rec->closing) return Ok();  // already in flight: idempotent
   rec->closing = true;
   if (rec->shared) rec->shared->state = flow::FlowState::closing;
-  stats_.inc("releases_initiated");
+  self_.stats_.inc("releases_initiated");
   send_release(port);
   return Ok();
 }
@@ -1667,7 +1687,7 @@ void FlowAllocator::send_release(flow::PortId port) {
   if (rec == nullptr || !rec->closing) return;
   if (rec->release_attempts >= kMaxReleaseAttempts || rec->peer.is_null()) {
     if (rec->release_attempts >= kMaxReleaseAttempts)
-      stats_.inc("release_timeouts");
+      self_.stats_.inc("release_timeouts");
     finish_close(*rec);
     return;
   }
@@ -1701,7 +1721,7 @@ void FlowAllocator::on_flow_release(const efcp::Pci& pci,
   // Only the flow's actual peer may release it; a forged release from
   // another member must not tear down someone else's flow.
   if (!(rec->peer == pci.src)) return;
-  stats_.inc("releases_received");
+  self_.stats_.inc("releases_received");
   finish_close(*rec);
 }
 
@@ -1716,11 +1736,11 @@ void FlowAllocator::on_flow_release_ack(const efcp::Pci& pci,
   finish_close(*rec);
 }
 
-/// Retire a flow's state: stats folded up, internal sink told, the app
+/// Retire a flow's state: its counts folded into the IPCP's table, internal sink told, the app
 /// handle closed (on_closed exactly once), maps pruned, port recycled.
 void FlowAllocator::finish_close(FlowRec& rec) {
-  stats_.inc("flows_closed");
-  if (rec.conn) stats_.merge(rec.conn->stats());
+  self_.stats_.inc("flows_closed");
+  if (rec.conn) self_.stats_.merge(rec.conn->stats());
   if (rec.on_closed) rec.on_closed();
   std::shared_ptr<flow::detail::FlowShared> shared = std::move(rec.shared);
   flow::PortId port = rec.port;
@@ -1766,7 +1786,7 @@ Result<void> FlowAllocator::write(flow::PortId port, BytesView sdu) {
   // trade that lookup for missed backpressure after every reroute.
   if (!rec->cube.reliable &&
       !self_.rmt_.would_accept(rec->peer, rec->cube.id)) {
-    stats_.inc("write_would_block");
+    self_.stats_.inc("write_would_block");
     if (rec->shared) {
       rec->shared->want_writable = true;
       arm_rmt_poll(*rec);
@@ -1777,7 +1797,7 @@ Result<void> FlowAllocator::write(flow::PortId port, BytesView sdu) {
   if (!r.ok() && r.error().code == Err::backpressure) {
     // The EFCP's refusal is the app edge's would_block: the DTCP window
     // and the bounded send queue are both full.
-    stats_.inc("write_would_block");
+    self_.stats_.inc("write_would_block");
     if (rec->shared) rec->shared->want_writable = true;
     return {Err::would_block, r.error().msg};
   }

@@ -61,16 +61,12 @@ class IpcpHost {
   virtual std::shared_ptr<Stats> node_stats() = 0;
 };
 
-/// Relaying and Multiplexing Task: the forwarding engine of one IPCP.
+/// Relaying and Multiplexing Task: the forwarding engine of one IPCP. It
+/// counts into its IPCP's table.
 class Rmt {
  public:
-  explicit Rmt(Ipcp& self)
-      : self_(self),
-        c_pdus_out_(stats_.slot("pdus_out")),
-        c_relayed_(stats_.slot("relayed")),
-        c_rmt_queue_peak_(stats_.slot("rmt_queue_peak")) {}
+  explicit Rmt(Ipcp& self);
 
-  Stats& stats() { return stats_; }
   relay::ForwardingTable& fib() { return fib_; }
 
   /// Route a PDU originated by this IPCP (EFCP output or routed mgmt).
@@ -96,35 +92,14 @@ class Rmt {
   [[nodiscard]] std::uint8_t class_priority(efcp::QosId q) const;
   Ipcp& self_;
   relay::ForwardingTable fib_;
-  Stats stats_;
   // Per-PDU counter cells resolved once (Stats::slot): send/relay/egress
   // run for every forwarded PDU and must not pay a string lookup each.
   std::uint64_t* c_pdus_out_;
   std::uint64_t* c_relayed_;
-  std::uint64_t* c_rmt_queue_peak_;
 };
 
-/// Enrollment: the only conversation a DIF will have with an outsider.
-class Enrollment {
- public:
-  explicit Enrollment(Ipcp& self) : self_(self) {}
-  Stats& stats() { return stats_; }
-
- private:
-  friend class Ipcp;
-  Ipcp& self_;
-  Stats stats_;
-  // Joiner side: in-progress attempt. The owned timer is both the join
-  // timeout and the retry gap — re-arming or cancelling it supersedes
-  // any previous attempt, no epoch bookkeeping.
-  std::optional<relay::PortIndex> join_port_;
-  int attempts_ = 0;
-  sim::Timer join_timer_;
-  // Member side: deterministic challenge nonces.
-  std::uint64_t nonce_counter_ = 0;
-};
-
-/// Flow allocator: names in, Flow handles out.
+/// Flow allocator: names in, Flow handles out. It counts into its IPCP's
+/// table, and folds each closed connection's counts into it.
 class FlowAllocator {
  public:
   explicit FlowAllocator(Ipcp& self) : self_(self) {}
@@ -133,8 +108,6 @@ class FlowAllocator {
   /// sees writes fail as flow_closed instead of dereferencing freed
   /// state. (Timers die with their owning records automatically.)
   ~FlowAllocator();
-
-  Stats& stats() { return stats_; }
 
   /// Register an application by name. `accept` receives a Flow handle for
   /// every incoming flow; the allocator keeps the flow's shared state
@@ -313,6 +286,11 @@ class FlowAllocator {
   /// until the deadline.
   void resolved(std::uint32_t invoke_id, std::optional<naming::Address> at);
   void finish_pending(std::uint32_t invoke_id, Result<flow::FlowInfo> r);
+  /// Open a flow on a fresh port-id: its record, its connection and its
+  /// CEP binding. Returns what the app's handle is told.
+  flow::FlowInfo open_flow(const naming::AppName& local, const naming::AppName& remote,
+                           naming::Address peer, const flow::QosCube& cube,
+                           efcp::CepId local_cep, efcp::CepId remote_cep);
   void create_connection(FlowRec& rec);
   void deliver_sdu(FlowRec& rec, Packet&& sdu);
   void notify_writable(flow::PortId port);
@@ -326,7 +304,6 @@ class FlowAllocator {
   void finish_close(FlowRec& rec);
 
   Ipcp& self_;
-  Stats stats_;
   std::map<naming::AppName, flow::AcceptFn> apps_;
   // Hot-path flow lookup: flows_ is indexed by port-id (the host hands
   // them out low-first and recycles), by_cep_ maps each live flow's
@@ -353,15 +330,20 @@ class Ipcp {
 
   Rmt& rmt() { return rmt_; }
   FlowAllocator& fa() { return fa_; }
-  Enrollment& enrollment() { return enrollment_; }
   /// The RMT's content store, or nullptr when the DIF's policy disables
   /// it (rmt_content_store_objects == 0).
   content::ContentStore* content_store() { return cstore_.get(); }
   naming::Directory& directory() { return dir_; }
+  /// This IPCP's one counter table: the counts of its management plane,
+  /// enrollment, RMT and flow allocator, and its closed connections'.
   Stats& stats() { return stats_; }
 
-  /// Sum a counter across this IPCP's stat domains (core, RMT, FA,
-  /// enrollment, live and closed EFCP connections).
+  /// A counter summed over this table, the content store and the live
+  /// connections. The gauges are read at their source instead, as the
+  /// largest value: "rmt_queue_peak" over the ports' egress queues, and
+  /// "cwnd_pdus", "srtt_us", "rttvar_us" and "rto_us" over the live
+  /// connections (the RTT ones read 0 before a connection's first
+  /// sample). A closed flow's gauges are gone with it.
   [[nodiscard]] std::uint64_t counter_sum(const std::string& name) const;
 
   // ---- bootstrap (called by the Network façade) ----
@@ -409,7 +391,6 @@ class Ipcp {
  private:
   friend class Rmt;
   friend class FlowAllocator;
-  friend class Enrollment;
 
   struct Port {
     std::function<bool(Packet&)> tx;
@@ -487,7 +468,7 @@ class Ipcp {
   void join_attempt(relay::PortIndex idx);
   /// Am I enrolling through `idx`? Only then do I heed a sponsor there.
   [[nodiscard]] bool joining_via(relay::PortIndex idx) const {
-    return !enrolled_ && enrollment_.join_port_ == idx;
+    return !enrolled_ && join_port_ == idx;
   }
   void admit_joiner(relay::PortIndex idx);
   void complete_enrollment(relay::PortIndex idx, const rib::RiepMessage& m);
@@ -500,8 +481,8 @@ class Ipcp {
   void flood(std::vector<Bytes> chunks, std::optional<relay::PortIndex> except);  // as Syncs
   void run_spf();
   void rebuild_neighbor_ports();
-  [[nodiscard]] std::map<naming::Address, std::vector<relay::PortIndex>>
-  live_neighbors() const;
+  /// The peers of my usable ports, sorted, each once.
+  [[nodiscard]] std::vector<naming::Address> live_neighbors() const;
 
   // Keepalives.
   void keepalive_tick();
@@ -542,8 +523,16 @@ class Ipcp {
 
   Rmt rmt_;
   FlowAllocator fa_;
-  Enrollment enrollment_;
   std::unique_ptr<content::ContentStore> cstore_;  // per-DIF RMT policy
+
+  // Enrollment, joiner side: the attempt in progress. The owned timer is
+  // both the join timeout and the retry gap — re-arming or cancelling it
+  // supersedes any previous attempt, no epoch bookkeeping.
+  std::optional<relay::PortIndex> join_port_;
+  int join_attempts_ = 0;
+  sim::Timer join_timer_;
+  // Member side: deterministic challenge nonces.
+  std::uint64_t nonce_counter_ = 0;
 
   // Link-state database: with dir_ and its version stamps, this member's
   // share of the DIF's replicated state.

@@ -185,8 +185,7 @@ class Link {
   [[nodiscard]] std::uint64_t counter(const std::string& name) const {
     std::uint64_t v = 0;
     for (const Direction& d : dir_) {
-      if (name == "tx_attempts") v += d.tx_attempts;
-      else if (name == "tx_carrier_lost") v += d.tx_carrier_lost;
+      if (name == "tx_carrier_lost") v += d.tx_carrier_lost;
       else if (name == "queue_drops") v += d.queue_drops;
       else if (name == "tx_frames") v += d.tx_frames;
       else if (name == "tx_bytes") v += d.tx_bytes;
@@ -307,7 +306,6 @@ class Link {
     std::unique_ptr<std::mt19937_64> own_rng;  // GE rng for cross directions
     // Sender-shard counters (everything below but rx_frames); the
     // receiver's shard owns inflight, rx_timer and rx_armed.
-    std::uint64_t tx_attempts = 0;
     std::uint64_t tx_carrier_lost = 0;
     std::uint64_t queue_drops = 0;
     std::uint64_t tx_frames = 0;
@@ -333,7 +331,6 @@ class Link {
   bool send_from(int side, Packet&& frame) {
     Direction& d = dir_[side];
     Scheduler& sch = tx_sched(side);
-    ++d.tx_attempts;
     if (!up_) {
       ++d.tx_carrier_lost;
       return true;  // accepted and lost: dead fiber, not backpressure

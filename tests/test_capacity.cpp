@@ -6,6 +6,7 @@
 // uncertainty-bound termination, endpoint outcomes, determinism), the
 // SeqSink range accounting a trial's delivery ratio stands on, and the
 // estimator gauges + typed misconfiguration through a real DIF.
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -469,17 +470,22 @@ static void estimator_gauges_visible_in_stats() {
                           })
             .ok());
   net.run_for(SimTime::from_ms(60));
-  flow::Flow f = net.node("a").allocate_flow(naming::AppName("src"),
-                                             naming::AppName("sink"),
-                                             flow::QosSpec::reliable_default());
-  net.run_until([&] { return !f.is_allocating(); }, SimTime::from_sec(5));
-  CHECK(f.is_open());
-  for (int i = 0; i < 50; ++i) {
-    (void)f.write(BytesView{to_bytes("g" + std::to_string(i))});
-    net.run_for(SimTime::from_ms(2));
+  // Two reliable flows from a, 50 SDUs each.
+  std::vector<flow::Flow> flows;
+  for (const char* src : {"src", "src2"}) {
+    flow::Flow f = net.node("a").allocate_flow(naming::AppName(src),
+                                               naming::AppName("sink"),
+                                               flow::QosSpec::reliable_default());
+    net.run_until([&] { return !f.is_allocating(); }, SimTime::from_sec(5));
+    CHECK(f.is_open());
+    for (int i = 0; i < 50; ++i) {
+      (void)f.write(BytesView{to_bytes("g" + std::to_string(i))});
+      net.run_for(SimTime::from_ms(2));
+    }
+    flows.push_back(f);
   }
   net.run_for(SimTime::from_sec(1));
-  CHECK(delivered == 50);
+  CHECK(delivered == 100);
 
   naming::DifName dif{"gauge"};
   // The gauges read like counters: SRTT at least the 10 ms propagation
@@ -492,6 +498,27 @@ static void estimator_gauges_visible_in_stats() {
   CHECK(net.max_dif_counter(dif, "cwnd_pdus") >= 2);
   // A clean run never feeds the filter ambiguous samples.
   CHECK(net.sum_dif_counter(dif, "rtt_samples_karn_ignored") == 0);
+
+  // A gauge is the largest value over the IPCP's live connections, not
+  // their sum.
+  ipcp::Ipcp* a = net.node("a").ipcp(dif);
+  const efcp::Connection* c1 = a->fa().connection(flows[0].port());
+  const efcp::Connection* c2 = a->fa().connection(flows[1].port());
+  CHECK(c1 != nullptr && c2 != nullptr);
+  if (c1 == nullptr || c2 == nullptr) return;
+  auto srtt = [](const efcp::Connection* c) {
+    return static_cast<std::uint64_t>(c->rtt().srtt().ns / 1000);
+  };
+  CHECK(a->counter_sum("cwnd_pdus") == std::max(c1->tx_window(), c2->tx_window()));
+  CHECK(a->counter_sum("srtt_us") == std::max(srtt(c1), srtt(c2)));
+  CHECK(a->counter_sum("pdus_tx") == 100);
+
+  // Closed flows leave no gauge behind, while their counts stay.
+  for (flow::Flow& f : flows) f.deallocate();
+  net.run_for(SimTime::from_sec(1));
+  for (const char* gauge : {"cwnd_pdus", "srtt_us", "rttvar_us", "rto_us"})
+    CHECK(a->counter_sum(gauge) == 0);
+  CHECK(a->counter_sum("pdus_tx") == 100);
 }
 
 int main() {

@@ -83,7 +83,7 @@ static void no_such_cube_is_typed_and_counted() {
                                           naming::AppName("srv"), gold));
   CHECK(f.state() == flow::FlowState::closed);
   CHECK(f.error().code == Err::no_such_cube);
-  CHECK(net.node("a").ipcp(naming::DifName{"d"})->fa().stats().get(
+  CHECK(net.node("a").ipcp(naming::DifName{"d"})->stats().get(
             "alloc_no_such_cube") == 1);
 
   // The name-only path fails FAST with the same typed error: the name
@@ -136,8 +136,8 @@ static void deallocation_lifecycle() {
   CHECK(server_flow.is_open());
   flow::PortId old_port = f.port();
 
-  auto* fa_a = &net.node("a").ipcp(naming::DifName{"d"})->fa();
-  auto* fa_b = &net.node("b").ipcp(naming::DifName{"d"})->fa();
+  auto* ipcp_a = net.node("a").ipcp(naming::DifName{"d"});
+  auto* ipcp_b = net.node("b").ipcp(naming::DifName{"d"});
 
   f.deallocate();
   CHECK(f.state() == flow::FlowState::closing);
@@ -149,12 +149,12 @@ static void deallocation_lifecycle() {
   CHECK(server_flow.state() == flow::FlowState::closed);
   CHECK(local_closed == 1);
   CHECK(remote_closed == 1);
-  CHECK(fa_a->connection(old_port) == nullptr);
-  CHECK(fa_b->connection(server_flow.port()) == nullptr);
-  CHECK(fa_a->stats().get("releases_initiated") == 1);
-  CHECK(fa_b->stats().get("releases_received") == 1);
-  CHECK(fa_a->stats().get("flows_closed") == 1);
-  CHECK(fa_b->stats().get("flows_closed") == 1);
+  CHECK(ipcp_a->fa().connection(old_port) == nullptr);
+  CHECK(ipcp_b->fa().connection(server_flow.port()) == nullptr);
+  CHECK(ipcp_a->stats().get("releases_initiated") == 1);
+  CHECK(ipcp_b->stats().get("releases_received") == 1);
+  CHECK(ipcp_a->stats().get("flows_closed") == 1);
+  CHECK(ipcp_b->stats().get("flows_closed") == 1);
 
   // Idempotent: more deallocates close nothing twice, fire nothing twice.
   f.deallocate();
@@ -162,7 +162,7 @@ static void deallocation_lifecycle() {
   net.run_for(SimTime::from_ms(300));
   CHECK(local_closed == 1);
   CHECK(remote_closed == 1);
-  CHECK(fa_a->stats().get("releases_initiated") == 1);
+  CHECK(ipcp_a->stats().get("releases_initiated") == 1);
 
   // Write-after-close: typed error + per-node counter, on both surfaces.
   CHECK(f.write(BytesView{to_bytes("late")}).error().code == Err::flow_closed);
@@ -300,7 +300,7 @@ static void bounded_rx_queue_counts_drops() {
 
   CHECK(server_flow.readable() == kDepth);  // capped at the queue depth
   CHECK(readable_fires == 1);               // edge-triggered: empty -> non-empty
-  CHECK(net.node("b").ipcp(naming::DifName{"d"})->fa().stats().get(
+  CHECK(net.node("b").ipcp(naming::DifName{"d"})->stats().get(
             "app_rx_dropped") == 8);
 
   // Drain, and fresh SDUs land again (the queue recovered its slots).

@@ -99,14 +99,14 @@ static void relayed_flow() {
   CHECK(got == 10);
   // The relay actually relayed (data + acks both ways).
   auto* r = net.node("r").ipcp(naming::DifName{"d"});
-  CHECK(r->rmt().stats().get("relayed") >= 20);
+  CHECK(r->stats().get("relayed") >= 20);
 }
 
 static void wrong_psk_rejected() {
   Network net(44);
   net.add_link("m", "j");
   node::DifSpec s = spec("sec", {"m"});
-  s.cfg.auth_policy = "psk-challenge";
+  s.cfg.auth_policy = dif::AuthPolicy::psk_challenge;
   s.cfg.auth_secret = "right";
   CHECK(net.build_link_dif(s).ok());
 
@@ -119,8 +119,8 @@ static void wrong_psk_rejected() {
   net.run_for(SimTime::from_sec(3));
   CHECK(!joiner.enrolled());
   auto* m = net.node("m").ipcp(naming::DifName{"sec"});
-  CHECK(m->enrollment().stats().get("joins_rejected") == 3);
-  CHECK(m->enrollment().stats().get("members_admitted") == 0);
+  CHECK(m->stats().get("joins_rejected") == 3);
+  CHECK(m->stats().get("members_admitted") == 0);
 
   // And with the right key, admission works.
   dif::DifConfig good = s.cfg;
@@ -131,7 +131,7 @@ static void wrong_psk_rejected() {
   CHECK(joiner2.enroll_via(ports2.value().first).ok());
   net.run_until([&] { return joiner2.enrolled(); }, SimTime::from_sec(3));
   CHECK(joiner2.enrolled());
-  CHECK(m->enrollment().stats().get("members_admitted") == 1);
+  CHECK(m->stats().get("members_admitted") == 1);
 }
 
 static void overlay_dif_carries_data() {
